@@ -14,7 +14,9 @@ fast correctness-only pass while the bare tier-1 command stays complete.
 The benchmark traces go through the on-disk trace store; when
 ``REPRO_TRACE_STORE`` is not explicitly set (CI sets it to a cached
 workspace directory), it is redirected to a throwaway directory so
-benchmark runs never populate the user's real ``~/.cache``.
+benchmark runs never populate the user's real ``~/.cache``.  The user
+cache root, where the native PIF lane walk is built, gets the same
+treatment when ``XDG_CACHE_HOME`` is not set.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.common import ExperimentConfig
-from repro.trace.store import ensure_scratch_store
+from repro.trace.store import ensure_scratch_cache_home, ensure_scratch_store
 
 ensure_scratch_store(prefix="repro-bench-traces-")
+ensure_scratch_cache_home(prefix="repro-bench-cache-")
 
 _BENCH_DIR = Path(__file__).resolve().parent
 

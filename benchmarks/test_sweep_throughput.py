@@ -8,8 +8,8 @@ scale) through two planes:
 * ``pr4`` — the frozen PR 4 runner in :mod:`legacy_sweep`: per-call
   pool, unsharded groups, per-group baselines, hook-driven PIF walker,
   copy-loaded traces;
-* ``new`` — the current engine: fused PIF walker replaying the shared
-  train plan, mmap-backed v3 archives, persistent attached pool,
+* ``new`` — the current engine: native PIF lane walk replaying the
+  shared train plan, mmap-backed v3 archives, persistent attached pool,
   cost-ordered lane shards, memoized baselines.
 
 Every timed measurement runs in a *spawned* child process, so both
@@ -18,13 +18,14 @@ state a fresh ``repro sweep run`` sees.  Before any timing is trusted,
 the two planes' results stores are compared record for record — the
 sweep engine must be a pure wall-clock change.
 
-The measurements land in ``BENCH_5.json`` at the repository root
-(override with ``REPRO_BENCH_OUT``).  When ``REPRO_BENCH_BASELINE``
-points at a checked-in ``BENCH_5.json``, the warm-store ``ci-smoke``
-sweep is gated against it: the measured seconds must not regress more
-than 30% after host-speed calibration (the committed and measured
-legacy ci-smoke times estimate the host-speed ratio, so the gate
-survives slower or faster CI hardware).
+The measurements are written to ``$REPRO_BENCH_OUT`` when it is set
+(the CI job publishes that file) and otherwise to pytest's temp dir, so
+a test run never rewrites the committed ``BENCH_5.json``.  When
+``REPRO_BENCH_BASELINE`` points at a checked-in ``BENCH_5.json``, the
+warm-store ``ci-smoke`` sweep is gated against it: the measured seconds
+must not regress more than 30% after host-speed calibration (the
+committed and measured legacy ci-smoke times estimate the host-speed
+ratio, so the gate survives slower or faster CI hardware).
 """
 
 import json
@@ -52,13 +53,13 @@ ROUNDS = 2
 CI_SMOKE_REGRESSION_LIMIT = 1.3
 
 
-def _bench_out_path() -> Path:
+def _bench_out_path(tmp_path: Path) -> Path:
     override = os.environ.get("REPRO_BENCH_OUT")
     if override:
         path = Path(override)
         path.parent.mkdir(parents=True, exist_ok=True)
         return path
-    return REPO_ROOT / "BENCH_5.json"
+    return tmp_path / "BENCH_5.json"
 
 
 def _record_content(out_dir: Path):
@@ -161,7 +162,7 @@ def test_sweep_throughput(tmp_path):
             "cpus": os.cpu_count(),
         },
     }
-    _bench_out_path().write_text(json.dumps(record, indent=2) + "\n")
+    _bench_out_path(tmp_path).write_text(json.dumps(record, indent=2) + "\n")
 
     print(f"\nsab-ablation sweep (jobs={JOBS}): PR4 {pr4_seconds:.1f}s | "
           f"new {new_seconds:.1f}s | {speedup:.2f}x "

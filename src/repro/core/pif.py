@@ -21,7 +21,7 @@ fragmented by them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..common.addressing import RegionGeometry
 from ..common.config import PIFConfig
@@ -81,6 +81,10 @@ class ProactiveInstructionFetch(Prefetcher):
         self.separate_trap_levels = separate_trap_levels
         self.unbounded_index = unbounded_index
         self._channels: Dict[int, _Channel] = {}
+        #: Set by the native lane walk (:mod:`repro.sim.native`), which
+        #: writes back counters but not history, index or SAB state; a
+        #: later walk of this engine is refused until :meth:`reset`.
+        self.walked_natively = False
         # Reusable per-engine scratch for the access hot path: raw
         # candidates land in _scratch, then are deduplicated into the
         # caller's buffer via _seen.  Both are cleared, never replaced.
@@ -93,23 +97,23 @@ class ProactiveInstructionFetch(Prefetcher):
         key = trap_level if self.separate_trap_levels else 0
         channel = self._channels.get(key)
         if channel is None:
-            shrink = _HANDLER_CHANNEL_FRACTION if key else 1
-            history_entries = max(64, self.config.history_entries // shrink)
-            if self.unbounded_index:
-                index_entries: Optional[int] = None
-            else:
-                index_entries = max(
-                    self.config.index_associativity,
-                    self.config.index_entries // shrink,
-                )
-                # Keep the way count dividing evenly after shrinking.
-                index_entries -= index_entries % self.config.index_associativity
-                index_entries = max(index_entries,
-                                    self.config.index_associativity)
             channel = _Channel(self.config, self.block_bytes,
-                               history_entries, index_entries)
+                               *self.channel_sizes(key))
             self._channels[key] = channel
         return channel
+
+    def channel_sizes(self, key: int) -> Tuple[int, Optional[int]]:
+        """(history entries, index entries or None for the unbounded
+        index) of the channel with ``key``."""
+        shrink = _HANDLER_CHANNEL_FRACTION if key else 1
+        history_entries = max(64, self.config.history_entries // shrink)
+        if self.unbounded_index:
+            return history_entries, None
+        ways = self.config.index_associativity
+        index_entries = max(ways, self.config.index_entries // shrink)
+        # Keep the way count dividing evenly after shrinking.
+        index_entries -= index_entries % ways
+        return history_entries, max(index_entries, ways)
 
     # ------------------------------------------------------------------
     # back-end side: record
@@ -232,6 +236,7 @@ class ProactiveInstructionFetch(Prefetcher):
     def reset(self) -> None:
         super().reset()
         self._channels = {}
+        self.walked_natively = False
         self._scratch = []
         self._seen = set()
 

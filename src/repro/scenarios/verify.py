@@ -43,16 +43,13 @@ import zipfile
 from pathlib import Path
 from typing import Any, Dict, List, NamedTuple, Optional, Union
 
-from ..sim.trainplan import PLANS_DIR
+from ..sim.trainplan import PIFTrainPlan, PLANS_DIR
 from ..trace.store import TraceStore
 from .results import BaselineSidecar, ResultsStore, current_generator
 from .spec import ScenarioSpec, point_hash
 
 #: Envelope fields every results record must carry.
 RECORD_FIELDS = ("hash", "label", "generator", "kernel", "point")
-
-#: Arrays every cached train-plan sidecar must contain.
-_PLAN_KEYS = ("at", "key", "trigger", "survives", "bits")
 
 
 class VerifyFinding(NamedTuple):
@@ -255,7 +252,8 @@ def _check_trace_store(repair: bool, findings: List[VerifyFinding],
             checked["plans"] = checked.get("plans", 0) + 1
             try:
                 with np.load(path) as archive:
-                    lengths = {len(archive[key]) for key in _PLAN_KEYS}
+                    lengths = {len(archive[key])
+                               for key in PIFTrainPlan._fields}
                 if len(lengths) > 1:
                     raise ValueError(
                         f"inconsistent array lengths {sorted(lengths)}")

@@ -15,22 +15,28 @@ it, so the per-lane results are **bit-identical** to N sequential runs
 
 Two interchangeable kernels drive the lane walk:
 
-* ``"fast"`` (the default) — the flat-array hot path.  The trace
-  columns are decoded to plain Python lists once per bundle (cached in
-  the bundle's derived-value cache, so lane shards re-walking one trace
-  share the decode), then each lane runs a locals-bound walker over
-  them: the 2-way LRU/FIFO geometry (the paper's L1-I) gets
-  :func:`_walk_lane_inline2`, which inlines the cache
-  probe/fill/prefetch directly over the cache's slot arrays with
-  every counter in a local int; the classic fetch-side engines and PIF
-  get walkers with the engine fused in (PIF's replays the shared
-  :mod:`~repro.sim.trainplan` schedule instead of running the
-  compactors per lane); and every other geometry gets
-  :func:`_walk_lane_generic` over the allocation-free ``access_fast``
-  (an int result code — ``MISS``/``HIT``/``HIT_PREFETCHED`` — instead
-  of an ``AccessResult`` object).  Prefetchers are driven through the
-  buffer-reuse hook ``on_demand_access_into`` with a per-lane scratch
-  list, so the steady-state loop allocates nothing per access.
+* ``"fast"`` (the default) — flat arrays and specialized walkers.  An
+  exact-type PIF engine on the 2-way LRU/FIFO geometry (the paper's
+  L1-I) takes :func:`_walk_lane_native_pif`: one call into a C99 lane
+  walk (``_pifwalk.c``, built on first use by :mod:`repro.sim.native`)
+  over the bundle's access columns and the shared
+  :mod:`~repro.sim.trainplan` schedule, which replaces running the
+  compactors per lane.  Every other lane iterates the trace columns
+  decoded to plain Python lists once per bundle (cached in the
+  bundle's derived-value cache, so lane shards re-walking one trace
+  share the decode): on the 2-way geometry
+  :func:`_walk_lane_inline2` inlines the cache probe/fill/prefetch
+  directly over the cache's slot arrays with every counter in a local
+  int, and next-line, stride and discontinuity get walkers with the
+  engine fused in; every other geometry gets :func:`_walk_lane_generic`
+  over the allocation-free ``access_fast`` (an int result code —
+  ``MISS``/``HIT``/``HIT_PREFETCHED`` — instead of an ``AccessResult``
+  object).  Prefetchers are driven through the buffer-reuse hook
+  ``on_demand_access_into`` with a per-lane scratch list, so the
+  steady-state loop allocates nothing per access.  A PIF lane the
+  native walk declines (no C compiler, an engine walked before, an
+  input failing the native walk's checks) takes the hook-driven
+  :func:`_walk_lane_inline2` with the same results.
 * ``"reference"`` — the original object-model walk over
   :class:`~repro.cache.reference.ReferenceInstructionCache` with
   ``access()``/``on_demand_access()``, kept as the differentially
@@ -38,8 +44,9 @@ Two interchangeable kernels drive the lane walk:
   measures speedup against).
 
 Both kernels are locked bit-identical for every prefetcher × replacement
-policy by ``tests/sim/test_engine.py``; ``REPRO_SIM_KERNEL`` overrides
-the default for A/B runs of unmodified callers.
+policy by ``tests/sim/test_engine.py`` (PIF lanes with the native walk
+and without it); ``REPRO_SIM_KERNEL`` overrides the default for A/B
+runs of unmodified callers.
 
 The no-prefetch baseline depends only on the access stream and the
 cache configuration, so it does not ride the lane walk at all: each
@@ -48,8 +55,8 @@ distinct configuration is served by the *memoized*
 by trace content hash + geometry + warmup, shared across lanes, shards,
 sweep points, and — through the sweep runner's sidecar — across runs).
 Lanes sharing a configuration share the one replay.  The lane walk
-itself iterates the columnar arrays as plain Python scalars — no record
-objects are materialized.
+itself iterates the columnar arrays (as plain Python scalars, or
+natively) — no record objects are materialized.
 
 Counter windows: ``prefetches_issued`` counts every issue over the whole
 trace — the same (unwindowed) accounting as ``prefetcher.stats`` and the
@@ -60,11 +67,13 @@ remain restricted to the post-warmup measurement window.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..cache.icache import InstructionCache
 from ..cache.reference import ReferenceInstructionCache
+from ..common.addressing import block_bits_for
 from ..common.config import CacheConfig
 from ..common.profiling import STAGE_BASELINE, STAGE_LANE_WALK, stage
 from ..core.pif import ProactiveInstructionFetch
@@ -73,8 +82,9 @@ from ..prefetch.discontinuity import DiscontinuityPrefetcher
 from ..prefetch.nextline import NextLinePrefetcher
 from ..prefetch.stride import StridePrefetcher
 from ..trace.bundle import TraceBundle
+from . import native
 from .baseline import measured_baseline
-from .trainplan import train_plan_for
+from .trainplan import PIFTrainPlan, PLAN_DTYPES, train_plan_for
 from .tracesim import PrefetchSimResult
 
 #: Lane-walk kernels; ``REPRO_SIM_KERNEL`` selects the default.
@@ -100,17 +110,10 @@ def resolve_kernel(kernel: Optional[str]) -> str:
 
 
 class _Lane:
-    """One (prefetcher, test cache) pair riding the shared trace walk.
-
-    ``train_plan``/``pif_pending`` are populated only for lanes taking
-    the fused PIF walker: the precomputed training schedule and the
-    per-channel tagged flag captured at the open of the current spatial
-    region (carried across the warmup/measurement slice boundary).
-    """
+    """One (prefetcher, test cache) pair riding the shared trace walk."""
 
     __slots__ = ("prefetcher", "cache", "baseline", "remaining_misses",
-                 "per_level_remaining", "prefetches_issued",
-                 "train_plan", "pif_pending")
+                 "per_level_remaining", "prefetches_issued")
 
     def __init__(self, prefetcher: Prefetcher, cache,
                  baseline: _Baseline) -> None:
@@ -120,8 +123,6 @@ class _Lane:
         self.remaining_misses = 0
         self.per_level_remaining: Dict[int, int] = {}
         self.prefetches_issued = 0
-        self.train_plan = None
-        self.pif_pending: Dict[int, bool] = {}
 
 
 class _Baseline:
@@ -608,451 +609,187 @@ def _walk_lane_inline2_discontinuity(lane: _Lane, blocks, pcs, trap_levels,
     return retire_cursor
 
 
-# reprolint: hot
-def _walk_lane_inline2_pif(lane: _Lane, segments, retire_pcs, retire_traps,
-                           retire_cursor: int, measuring: bool) -> int:
-    """:func:`_walk_lane_inline2` with the PIF engine fused in.
+#: Fields of the native lane walk's ``out_lane`` array, in the order of
+#: ``_pifwalk.c``'s ``OUT_*`` enum; the first nine are CacheStats fields.
+_NATIVE_LANE = (
+    "demand_accesses", "demand_hits", "demand_misses", "useful_prefetches",
+    "prefetch_requests", "prefetch_fills", "prefetch_drops_present",
+    "evictions", "evicted_unused_prefetches", "remaining", "issued",
+    "stream_allocations", "retired", "channels", "levels",
+)
 
-    Unlike the other walkers this one iterates *trap-level segments* —
-    maximal runs of constant access trap level, precomputed per bundle
-    (:meth:`TraceBundle.access_trap_segments`) and sliced once per walk
-    for all lanes — so the per-access loop carries no trap unpacking or
-    channel re-resolution; the channel's hot structures are rebound in
-    locals at segment boundaries only (a few hundred per trace).
+#: Fields of one ``out_channels`` row (``_pifwalk.c``'s ``CH_*`` enum).
+_NATIVE_CHANNEL = (
+    "key", "regions_recorded", "index_insertions", "stream_allocations",
+    "window_advances", "regions_emitted", "passed", "discarded",
+    "index_hits", "index_misses", "sab_allocations",
+)
 
-    The predict side inlines :meth:`ProactiveInstructionFetch.
-    on_demand_access_into` (SAB window probe, tagged-miss stream
-    allocation, candidate dedup); the window slide itself
-    (``StreamAddressBuffer.advance_into``'s slice + map rebuild +
-    refill) is fused into the match branch, producing exactly the
-    window/map/pointer state the method calls would.  The train side
-    replays the lane's precomputed
-    :class:`~repro.sim.trainplan.PIFTrainPlan` instead of driving the
-    spatial/temporal compactors: per retire record it costs one integer
-    comparison, and on the (precomputed) region emissions it performs
-    exactly the history append / index insert the reference ``on_retire``
-    path would, with the lane-dependent tagged flag captured at region
-    open.  All engine counters (prefetch stats, channel stats, compactor
-    counters) are maintained to reference-exact values; the kernel
-    differential matrix in ``tests/sim/test_engine.py`` locks the whole
-    construction against the reference object walk.
+#: Channel keys the native walk can hold (trap levels are a uint8).
+_NATIVE_KEYS = 256
+
+
+def _native_access_columns(bundle: TraceBundle):
+    """The access columns as the native walk reads them — (block, pc,
+    trap level, wrong-path flag as uint8) — or None when one fails a
+    check the C side relies on: dtype, C-contiguity, equal lengths, and
+    non-negative blocks and PCs (so C's ``%`` and ``>>`` agree with
+    Python's).  Cached per bundle."""
+    derived = bundle.derived_cache()
+    if "native_access" not in derived:
+        columns = (bundle.access_block, bundle.access_pc,
+                   bundle.access_trap, bundle.access_wrong_path)
+        usable = (
+            all(column.dtype == dtype and column.ndim == 1
+                and column.flags.c_contiguous
+                for column, dtype in zip(
+                    columns, (np.int64, np.int64, np.uint8, np.bool_)))
+            and len({len(column) for column in columns}) == 1
+            and not (len(columns[0])
+                     and min(columns[0].min(), columns[1].min()) < 0))
+        derived["native_access"] = (
+            (*columns[:3], columns[3].view(np.uint8)) if usable else None)
+    return derived["native_access"]
+
+
+def _plan_fits(plan: PIFTrainPlan, retires: int, width: int) -> bool:
+    """True when ``plan`` passes the checks the C side relies on:
+    dtype, C-contiguity and equal lengths of the five columns; ``at``
+    strictly ascending and below the retire count; keys below
+    :data:`_NATIVE_KEYS`; triggers -1 (an open) or non-negative; bit
+    vectors non-negative and within the region ``width``."""
+    if any(column.dtype != dtype or column.ndim != 1
+           or not column.flags.c_contiguous
+           for column, dtype in zip(plan, PLAN_DTYPES)):
+        return False
+    if len({len(column) for column in plan}) != 1:
+        return False
+    if not len(plan.at):
+        return True
+    return bool(plan.at[0] >= 0 and plan.at[-1] < retires
+                and (np.diff(plan.at) > 0).all()
+                and plan.key.min() >= 0 and plan.key.max() < _NATIVE_KEYS
+                and plan.trigger.min() >= -1 and plan.bits.min() >= 0
+                and not (plan.bits >> width).any())
+
+
+def _walk_lane_native_pif(lane: _Lane, bundle: TraceBundle,
+                          warmup_boundary: int) -> Optional[int]:
+    """One PIF lane's whole walk, warmup and measured slices, in the
+    native lane walk (``_pifwalk.c``, built by :mod:`repro.sim.native`).
+
+    Returns the retire records consumed, or None — lane and engine
+    untouched — when the lane must take the hook-driven
+    :func:`_walk_lane_inline2` instead: the library cannot be built or
+    loaded, the engine was walked before (the native walk starts from
+    empty PIF state), or an input fails a check the C side relies on.
+
+    The C walk reproduces the reference walk bit for bit, its train side
+    replaying the shared :class:`~repro.sim.trainplan.PIFTrainPlan`.  It
+    writes back the cache's counters, the lane's miss counts, the
+    engine's prefetch stats, every channel's
+    :class:`~repro.core.pif.PIFChannelStats` and the compactor, index
+    and SAB-file counters — but not the history, index or SAB contents,
+    so the engine is marked ``walked_natively`` and a second walk of it
+    is refused (:func:`refuse_natively_walked`).
     """
+    engine = lane.prefetcher
+    geometry = engine.config.geometry
+    width = geometry.preceding + geometry.succeeding
+    if engine._channels or width > 62:
+        return None
+    library = native.load()
+    if library is None:
+        return None
+    columns = _native_access_columns(bundle)
+    if columns is None:
+        return None
+    plan = train_plan_for(bundle, geometry, engine.block_bytes,
+                          engine.separate_trap_levels,
+                          engine.config.temporal_compactor_entries)
+    if not _plan_fits(plan, len(bundle.retire_pc), width):
+        return None
     cache = lane.cache
-    tags = cache._tags
-    flags = cache._flags
-    mru = cache._mru
-    mru_on_access = cache._mru_on_access
-    n_sets = cache._n_sets
-    prefetcher = lane.prefetcher
-    separate = prefetcher.separate_trap_levels
-    channels = prefetcher._channels
-    make_channel = prefetcher._channel
-    scratch = prefetcher._scratch
-    seen = prefetcher._seen
-    plan = lane.train_plan
-    ev_at = plan.at
-    ev_key = plan.key
-    ev_trigger = plan.trigger
-    ev_survives = plan.survives
-    ev_record_untagged = plan.record_untagged
-    ev_record_tagged = plan.record_tagged
-    n_events = len(ev_at)
-    ev_index = bisect_left(ev_at, retire_cursor)
-    next_event_at = ev_at[ev_index] if ev_index < n_events else -1
-    pending = lane.pif_pending
-    #: channel key -> [regions emitted, temporal passed, temporal
-    #: discarded] this slice, flushed into the compactor counters once.
-    compaction: Dict[int, List[int]] = {}
+    ways = engine.config.index_associativity
+    main_history, main_index = engine.channel_sizes(0)
+    handler_history, handler_index = engine.channel_sizes(1)
+    # _pifwalk.c's CFG_* order.
+    config = np.array([
+        cache._n_sets, cache._mru_on_access, engine.separate_trap_levels,
+        geometry.preceding, geometry.succeeding,
+        block_bits_for(engine.block_bytes), engine.config.sab_count,
+        engine.config.sab_window_regions, warmup_boundary,
+        main_history, handler_history,
+        main_index // ways if main_index else 0,
+        handler_index // ways if handler_index else 0, ways,
+    ], dtype=np.int64)
+    out_lane = np.zeros(len(_NATIVE_LANE), dtype=np.int64)
+    out_levels = np.zeros(2 * _NATIVE_KEYS, dtype=np.int64)
+    out_channels = np.zeros((_NATIVE_KEYS, len(_NATIVE_CHANNEL)),
+                            dtype=np.int64)
+    status = library.pifwalk_lane(
+        len(columns[0]), *columns,
+        len(plan.at), plan.at, plan.key, plan.trigger,
+        plan.survives.view(np.uint8), plan.bits,
+        config, out_lane, out_levels, out_channels)
+    if status != 0:
+        raise MemoryError("native PIF lane walk ran out of memory")
 
-    # Per-segment predict-side channel locals.  ``cur_maps`` mirrors
-    # ``cur_sabs`` as each SAB's ``_block_map`` and is refreshed at
-    # every point the maps or their order can change (slide,
-    # allocation, MRU move, channel switch).
-    cur_key = -1
-    cur_channel = None
-    cur_sabs: List = []
-    cur_maps: List = []
-    cur_history = None
-    cur_hring = None
-    cur_hcap = 0
-    cur_index = None
-    cur_index_sets = None
-    cur_chstats = None
-    # Train-side channel locals, swapped on the (rare) event-channel
-    # change; emissions overwhelmingly hit the application channel.
-    tr_key = -1
-    tr_channel = None
-    tr_history = None
-    tr_index = None
-    tr_chstats = None
-    tr_counters: List[int] = [0, 0, 0]
-
+    counts = dict(zip(_NATIVE_LANE, out_lane.tolist()))
+    stats = cache.stats
+    for name in _NATIVE_LANE[:9]:
+        setattr(stats, name, getattr(stats, name) + counts[name])
+    levels = out_levels[:2 * counts["levels"]].tolist()
     per_level = lane.per_level_remaining
-    demand_accesses = demand_misses = useful = 0
-    requests = fills = drops = evictions = evicted_unused = 0
-    remaining = issued_total = stream_allocs = 0
-    #: Blocks of a dedup-free single-region slide burst on the current
-    #: *miss* access (reset on every miss — allocation bursts, which
-    #: only fire on misses, seed their dedup set from it).
-    slide_burst = None
-    for seg_blocks, seg_pcs, seg_wrongs, trap_level in segments:
-        demand_accesses += len(seg_blocks)
-        key = trap_level if separate else 0
-        if key != cur_key:
-            cur_channel = channels.get(key)
-            if cur_channel is None:
-                cur_channel = make_channel(key)
-            cur_key = key
-            cur_sabs = cur_channel.sabs._sabs
-            cur_maps = [sab._block_map for sab in cur_sabs]  # reprolint: disable=RL006 - rebuilt only on channel switch
-            cur_history = cur_channel.history
-            cur_hring = cur_history._ring
-            cur_hcap = cur_history.capacity
-            cur_index = cur_channel.index
-            cur_index_sets = cur_index._sets
-            cur_chstats = cur_channel.stats
-        for block, pc, wrong_path in zip(seg_blocks, seg_pcs, seg_wrongs):
-            # -- demand access (InstructionCache.access_fast, inlined;
-            #    accesses/hits/triggers are derived after the loop) --
-            index = block % n_sets
-            slot = index + index
-            if tags[slot] != block:
-                if tags[slot + 1] == block:
-                    slot += 1
-                else:
-                    slot = -1
-            if slot >= 0:
-                if mru_on_access:
-                    mru[index] = slot & 1
-                state = flags[slot]
-                if state == 1:
-                    flags[slot] = 3
-                    useful += 1
-                    code = 2
-                else:
-                    if state < 2:
-                        flags[slot] = state | 2
-                    code = 1
-            else:
-                demand_misses += 1
-                code = 0
-                slide_burst = None
-                slot = index + index
-                if tags[slot] is not None:
-                    if tags[slot + 1] is not None:
-                        slot += 1 - mru[index]
-                        evictions += 1
-                        if flags[slot] == 1:
-                            evicted_unused += 1
-                    else:
-                        slot += 1
-                tags[slot] = block
-                flags[slot] = 0
-                mru[index] = slot & 1
-                if measuring and not wrong_path:
-                    remaining += 1
-                    per_level[trap_level] = per_level.get(trap_level,
-                                                          0) + 1
-            # -- PIF predict side (on_demand_access_into, inlined) --
-            if cur_maps:
-                position = 0
-                matched = None
-                for sab_map in cur_maps:
-                    if block in sab_map:
-                        matched = sab_map
-                        break
-                    position += 1
-                if matched is not None:
-                    sab = cur_sabs[position]
-                    sab.matches += 1
-                    sab_slot = matched[block]
-                    if sab_slot:
-                        # -- window slide: slice + map rebuild + refill
-                        #    (StreamAddressBuffer.advance_into, fused) --
-                        window = sab.window[sab_slot:]
-                        sab.window = window
-                        block_map: Dict[int, int] = {}  # reprolint: disable=RL006 - rebuilt only on window slide
-                        map_setdefault = block_map.setdefault
-                        cache_get = sab._block_cache.get
-                        decode = sab._blocks_of
-                        window_slot = 0
-                        for _, record in window:
-                            record_blocks = cache_get(record)
-                            if record_blocks is None:
-                                record_blocks = decode(record)
-                            for candidate in record_blocks:
-                                map_setdefault(candidate, window_slot)
-                            window_slot += 1
-                        needed = sab.window_regions - window_slot
-                        if needed > 0:
-                            pointer = sab.pointer
-                            # -- HistoryBuffer.read_run_values, inlined
-                            #    over the ring (bounded history) --
-                            tail = cur_history._next_position
-                            if (pointer < tail
-                                    and pointer >= tail - cur_hcap):
-                                end = pointer + needed
-                                if end > tail:
-                                    end = tail
-                                start_slot = pointer % cur_hcap
-                                length = end - pointer
-                                if start_slot + length <= cur_hcap:
-                                    run = cur_hring[start_slot:
-                                                    start_slot + length]
-                                else:
-                                    run = (cur_hring[start_slot:]
-                                           + cur_hring[:start_slot + length
-                                                       - cur_hcap])
-                            else:
-                                run = ()
-                            if len(run) == 1:
-                                # Dominant refill shape: one region
-                                # slides in.  Its blocks are distinct by
-                                # construction (trigger + unique
-                                # offsets), so the dedup set is skipped;
-                                # the blocks are remembered in
-                                # ``slide_burst`` so a same-access
-                                # allocation burst can seed its dedup
-                                # set from them.
-                                record = run[0]
-                                window.append((pointer, record))
-                                record_blocks = cache_get(record)
-                                if record_blocks is None:
-                                    record_blocks = decode(record)
-                                slide_burst = record_blocks
-                                issued_total += len(record_blocks)
-                                requests += len(record_blocks)
-                                for candidate in record_blocks:
-                                    map_setdefault(candidate, window_slot)
-                                    cindex = candidate % n_sets
-                                    cslot = cindex + cindex
-                                    if (tags[cslot] == candidate
-                                            or tags[cslot + 1]
-                                            == candidate):
-                                        drops += 1
-                                        continue
-                                    if tags[cslot] is not None:
-                                        if tags[cslot + 1] is not None:
-                                            cslot += 1 - mru[cindex]
-                                            evictions += 1
-                                            if flags[cslot] == 1:
-                                                evicted_unused += 1
-                                        else:
-                                            cslot += 1
-                                    tags[cslot] = candidate
-                                    flags[cslot] = 1
-                                    mru[cindex] = cslot & 1
-                                    fills += 1
-                                sab.pointer = pointer + 1
-                                sab.regions_replayed += 1
-                            elif run:
-                                for record in run:
-                                    window.append((pointer, record))
-                                    pointer += 1
-                                    record_blocks = cache_get(record)
-                                    if record_blocks is None:
-                                        record_blocks = decode(record)
-                                    for candidate in record_blocks:
-                                        map_setdefault(candidate,
-                                                       window_slot)
-                                        # -- dedup + install, fused
-                                        #    (identical order: slide
-                                        #    bursts precede allocation
-                                        #    bursts) --
-                                        if candidate in seen:
-                                            continue
-                                        seen.add(candidate)
-                                        issued_total += 1
-                                        requests += 1
-                                        cindex = candidate % n_sets
-                                        cslot = cindex + cindex
-                                        if (tags[cslot] == candidate
-                                                or tags[cslot + 1]
-                                                == candidate):
-                                            drops += 1
-                                            continue
-                                        if tags[cslot] is not None:
-                                            if tags[cslot + 1] is not None:
-                                                cslot += 1 - mru[cindex]
-                                                evictions += 1
-                                                if flags[cslot] == 1:
-                                                    evicted_unused += 1
-                                            else:
-                                                cslot += 1
-                                        tags[cslot] = candidate
-                                        flags[cslot] = 1
-                                        mru[cindex] = cslot & 1
-                                        fills += 1
-                                    window_slot += 1
-                                sab.pointer = pointer
-                                sab.regions_replayed += len(run)
-                        sab._block_map = block_map
-                        if position:
-                            del cur_sabs[position]
-                            cur_sabs.insert(0, sab)
-                            del cur_maps[position]
-                            cur_maps.insert(0, block_map)
-                        else:
-                            cur_maps[0] = block_map
-                    elif position:
-                        del cur_sabs[position]
-                        cur_sabs.insert(0, sab)
-                        cur_maps.insert(0, cur_maps.pop(position))
-                    cur_chstats.window_advances += 1
-            if code == 0:
-                # -- IndexTable.lookup, inlined (per-set LRU get
-                #    promotes; index values are ints, so a plain None
-                #    test suffices) --
-                if cur_index_sets:
-                    folded = (pc >> 2) ^ (pc >> 9) ^ (pc >> 17)
-                    entries = cur_index_sets[
-                        folded % len(cur_index_sets)]._entries
-                    start = entries.get(pc)
-                    if start is None:
-                        cur_index.misses += 1
-                    else:
-                        entries.move_to_end(pc)
-                        cur_index.hits += 1
-                else:
-                    start = cur_index._unbounded.get(pc)
-                    if start is None:
-                        cur_index.misses += 1
-                    else:
-                        cur_index.hits += 1
-                if start is not None:
-                    if slide_burst is not None:
-                        # A dedup-free slide burst preceded this
-                        # allocation in the same access: seed the dedup
-                        # set with it.
-                        seen.update(slide_burst)
-                    cur_channel.sabs.allocate_into(cur_history, start,
-                                                   scratch)
-                    cur_chstats.stream_allocations += 1
-                    stream_allocs += 1
-                    cur_maps = [sab._block_map for sab in cur_sabs]  # reprolint: disable=RL006 - rebuilt only on stream allocation
-                    # Allocation burst: dedup (against any slide burst
-                    # of this access) + install, same pass as above.
-                    for candidate in scratch:
-                        if candidate in seen:
-                            continue
-                        seen.add(candidate)
-                        issued_total += 1
-                        requests += 1
-                        cindex = candidate % n_sets
-                        cslot = cindex + cindex
-                        if (tags[cslot] == candidate
-                                or tags[cslot + 1] == candidate):
-                            drops += 1
-                            continue
-                        if tags[cslot] is not None:
-                            if tags[cslot + 1] is not None:
-                                cslot += 1 - mru[cindex]
-                                evictions += 1
-                                if flags[cslot] == 1:
-                                    evicted_unused += 1
-                            else:
-                                cslot += 1
-                        tags[cslot] = candidate
-                        flags[cslot] = 1
-                        mru[cindex] = cslot & 1
-                        fills += 1
-                    scratch.clear()
-            if seen:
-                seen.clear()
-            # -- PIF train side: replay the precomputed schedule --
-            if not wrong_path:
-                if retire_cursor == next_event_at:
-                    event_key = ev_key[ev_index]
-                    if ev_trigger[ev_index] is not None:
-                        if event_key != tr_key:
-                            tr_channel = channels.get(event_key)
-                            if tr_channel is None:
-                                tr_channel = make_channel(event_key)
-                            tr_key = event_key
-                            tr_history = tr_channel.history
-                            tr_index = tr_channel.index
-                            tr_chstats = tr_channel.stats
-                            tr_counters = compaction.get(event_key)
-                            if tr_counters is None:
-                                tr_counters = compaction[event_key] = \
-                                    [0, 0, 0]  # reprolint: disable=RL006 - one counter cell per event key
-                        tr_counters[0] += 1
-                        if ev_survives[ev_index]:
-                            tr_counters[1] += 1
-                            tagged = pending[event_key]
-                            record = (ev_record_tagged[ev_index] if tagged
-                                      else ev_record_untagged[ev_index])
-                            # -- HistoryBuffer.append, inlined --
-                            history_position = tr_history._next_position
-                            tr_history._ring[
-                                history_position
-                                % tr_history.capacity] = record
-                            tr_history._next_position = \
-                                history_position + 1
-                            tr_chstats.regions_recorded += 1
-                            if tagged:
-                                # -- IndexTable.insert + LRUCache.put,
-                                #    inlined (bounded, per-set LRU) --
-                                event_trigger = ev_trigger[ev_index]
-                                tr_index.insertions += 1
-                                tr_sets = tr_index._sets
-                                if tr_sets:
-                                    folded = ((event_trigger >> 2)
-                                              ^ (event_trigger >> 9)
-                                              ^ (event_trigger >> 17))
-                                    lru = tr_sets[folded % len(tr_sets)]
-                                    entries = lru._entries
-                                    if event_trigger in entries:
-                                        entries.move_to_end(event_trigger)
-                                    entries[event_trigger] = \
-                                        history_position
-                                    if len(entries) > lru._capacity:
-                                        entries.popitem(last=False)
-                                else:
-                                    tr_index._unbounded[event_trigger] = \
-                                        history_position
-                                tr_chstats.index_insertions += 1
-                        else:
-                            tr_counters[2] += 1
-                    pending[event_key] = code != 2
-                    ev_index += 1
-                    next_event_at = (ev_at[ev_index]
-                                     if ev_index < n_events else -1)
-                retire_cursor += 1
-    pf_stats = prefetcher.stats
+    for level, remaining in zip(levels[::2], levels[1::2]):
+        per_level[level] = per_level.get(level, 0) + remaining
+    lane.remaining_misses += counts["remaining"]
+    lane.prefetches_issued += counts["issued"]
     # A PIF trigger is exactly a demand miss (tagged misses probe the
     # index; prefetched hits never reach the trigger path).
-    pf_stats.triggers += demand_misses
-    pf_stats.issued += issued_total
-    pf_stats.stream_allocations += stream_allocs
-    for channel_key, (emitted, passed, discarded) in compaction.items():
-        channel = channels[channel_key]
-        channel.spatial.regions_emitted += emitted
-        channel.temporal.passed += passed
-        channel.temporal.discarded += discarded
-    stats = cache.stats
-    stats.demand_accesses += demand_accesses
-    stats.demand_hits += demand_accesses - demand_misses
-    stats.demand_misses += demand_misses
-    stats.useful_prefetches += useful
-    stats.prefetch_requests += requests
-    stats.prefetch_fills += fills
-    stats.prefetch_drops_present += drops
-    stats.evictions += evictions
-    stats.evicted_unused_prefetches += evicted_unused
-    lane.remaining_misses += remaining
-    lane.prefetches_issued += issued_total
-    return retire_cursor
+    engine.stats.triggers += counts["demand_misses"]
+    engine.stats.issued += counts["issued"]
+    engine.stats.stream_allocations += counts["stream_allocations"]
+    for row in out_channels[:counts["channels"]].tolist():
+        channel_counts = dict(zip(_NATIVE_CHANNEL, row))
+        channel = engine._channel(channel_counts["key"])
+        for name in ("regions_recorded", "index_insertions",
+                     "stream_allocations", "window_advances"):
+            setattr(channel.stats, name, channel_counts[name])
+        channel.spatial.regions_emitted = channel_counts["regions_emitted"]
+        channel.temporal.passed = channel_counts["passed"]
+        channel.temporal.discarded = channel_counts["discarded"]
+        channel.index.insertions = channel_counts["index_insertions"]
+        channel.index.hits = channel_counts["index_hits"]
+        channel.index.misses = channel_counts["index_misses"]
+        channel.sabs.allocations = channel_counts["sab_allocations"]
+    engine.walked_natively = True
+    return counts["retired"]
 
 
-#: Fetch-side engines whose per-access logic is fused into a
-#: specialized 2-way walker.  Exact types only: a subclass may change
-#: behaviour, so it falls back to the hook-driven walker.
+def refuse_natively_walked(prefetchers: Sequence[Prefetcher]) -> None:
+    """Raise when an engine already went through the native PIF walk.
+
+    That walk leaves its history, index and SAB contents in C, so
+    walking the engine again would silently diverge from the reference.
+    Every caller in the repository builds fresh engines per walk.
+    """
+    for prefetcher in prefetchers:
+        if getattr(prefetcher, "walked_natively", False):
+            raise RuntimeError(
+                f"engine {prefetcher.name!r} was already walked by the "
+                "native PIF lane walk, which keeps no replayable state; "
+                "build a fresh engine per walk")
+
+#: Engines whose per-access logic is fused into a specialized 2-way
+#: walker (PIF's is the native lane walk, which takes the whole lane).
+#: Exact types only: a subclass may change behaviour, so it falls back
+#: to the hook-driven walker.
 _FUSED_WALKERS = {
     NextLinePrefetcher: _walk_lane_inline2_nextline,
     StridePrefetcher: _walk_lane_inline2_stride,
     DiscontinuityPrefetcher: _walk_lane_inline2_discontinuity,
-    ProactiveInstructionFetch: _walk_lane_inline2_pif,
+    ProactiveInstructionFetch: _walk_lane_native_pif,
 }
 
 
@@ -1095,22 +832,6 @@ def _walk_lane_generic(lane: _Lane, blocks, pcs, trap_levels, wrong_paths,
                           retire_traps[retire_cursor], code != 2)
             retire_cursor += 1
     return retire_cursor
-
-
-def _sliced_segments(bundle: TraceBundle, blocks, pcs, wrong_paths,
-                     low: int, high: int):
-    """The bundle's trap-level segments clipped to ``[low, high)`` and
-    materialized as (block slice, pc slice, wrong-path slice, trap)
-    tuples — computed once per walk and shared by every PIF lane."""
-    sliced = []
-    for start, end, trap_level in bundle.access_trap_segments():
-        begin = start if start > low else low
-        stop = end if end < high else high
-        if begin >= stop:
-            continue
-        sliced.append((blocks[begin:stop], pcs[begin:stop],
-                       wrong_paths[begin:stop], trap_level))
-    return sliced
 
 
 def _walk_reference(lanes: List[_Lane], blocks, pcs, trap_levels,
@@ -1170,6 +891,7 @@ def run_multi_prefetch_simulation(
     if cache_configs is not None and len(cache_configs) != len(prefetchers):
         raise ValueError("cache_configs must match prefetchers in length")
     kernel = resolve_kernel(kernel)
+    refuse_natively_walked(prefetchers)
     cache_class = (InstructionCache if kernel == "fast"
                    else ReferenceInstructionCache)
     default_config = cache_config if cache_config is not None else CacheConfig()
@@ -1188,67 +910,51 @@ def run_multi_prefetch_simulation(
             lanes.append(_Lane(prefetcher, cache_class(lane_config),
                                baseline))
 
-    (blocks, pcs, trap_levels, wrong_paths,
-     retire_pcs, retire_traps) = bundle.decoded_columns()
-    warmup_boundary = int(len(blocks) * warmup_fraction)
+    warmup_boundary = int(len(bundle.access_block) * warmup_fraction)
+    retires = len(bundle.retire_pc)
 
     if lanes:
         with stage(STAGE_LANE_WALK):
             if kernel == "fast":
                 warm = measured = None
-                warm_segments = measured_segments = None
                 for lane in lanes:
                     walker = _select_walker(lane)
-                    if walker is _walk_lane_inline2_pif:
-                        engine = lane.prefetcher
-                        lane.train_plan = train_plan_for(
-                            bundle, engine.config.geometry,
-                            engine.block_bytes,
-                            engine.separate_trap_levels,
-                            engine.config.temporal_compactor_entries)
-                        if warm_segments is None:
-                            warm_segments = _sliced_segments(
-                                bundle, blocks, pcs, wrong_paths,
-                                0, warmup_boundary)
-                            measured_segments = _sliced_segments(
-                                bundle, blocks, pcs, wrong_paths,
-                                warmup_boundary, len(blocks))
-                        retire_cursor = walker(lane, warm_segments,
-                                               retire_pcs, retire_traps,
-                                               0, False)
-                        retire_cursor = walker(lane, measured_segments,
-                                               retire_pcs, retire_traps,
-                                               retire_cursor, True)
-                    else:
+                    retire_cursor = None
+                    if walker is _walk_lane_native_pif:
+                        retire_cursor = walker(lane, bundle,
+                                               warmup_boundary)
+                        walker = _walk_lane_inline2  # if it declined
+                    if retire_cursor is None:
                         if warm is None:
+                            (blocks, pcs, trap_levels, wrong_paths,
+                             retire_pcs, retire_traps) = \
+                                bundle.decoded_columns()
                             warm = (blocks[:warmup_boundary],
                                     pcs[:warmup_boundary],
                                     trap_levels[:warmup_boundary],
-                                    wrong_paths[:warmup_boundary])
+                                    wrong_paths[:warmup_boundary],
+                                    retire_pcs, retire_traps)
                             measured = (blocks[warmup_boundary:],
                                         pcs[warmup_boundary:],
                                         trap_levels[warmup_boundary:],
-                                        wrong_paths[warmup_boundary:])
-                        retire_cursor = walker(lane, *warm, retire_pcs,
-                                               retire_traps, 0, False)
-                        retire_cursor = walker(lane, *measured, retire_pcs,
-                                               retire_traps, retire_cursor,
-                                               True)
-                    if retire_cursor != len(retire_pcs):
+                                        wrong_paths[warmup_boundary:],
+                                        retire_pcs, retire_traps)
+                        retire_cursor = walker(lane, *warm, 0, False)
+                        retire_cursor = walker(lane, *measured,
+                                               retire_cursor, True)
+                    if retire_cursor != retires:
                         raise RuntimeError(
                             "access/retire alignment broken: lane "
                             f"{lane.prefetcher.name!r} consumed "
-                            f"{retire_cursor} of {len(retire_pcs)} "
-                            "retire records"
+                            f"{retire_cursor} of {retires} retire records"
                         )
             else:
                 retire_cursor = _walk_reference(
-                    lanes, blocks, pcs, trap_levels, wrong_paths,
-                    retire_pcs, retire_traps, warmup_boundary)
-                if retire_cursor != len(retire_pcs):
+                    lanes, *bundle.decoded_columns(), warmup_boundary)
+                if retire_cursor != retires:
                     raise RuntimeError(
                         "access/retire alignment broken: consumed "
-                        f"{retire_cursor} of {len(retire_pcs)} retire records"
+                        f"{retire_cursor} of {retires} retire records"
                     )
 
     return [

@@ -42,7 +42,7 @@ from ..common.config import SystemConfig
 from ..common.profiling import STAGE_TIMING_WALK, stage
 from ..prefetch.base import NullPrefetcher, Prefetcher, demand_access_hook
 from ..trace.bundle import TraceBundle
-from .engine import resolve_kernel
+from .engine import refuse_natively_walked, resolve_kernel
 
 
 @dataclass(slots=True)
@@ -90,6 +90,7 @@ def run_timing_simulation(
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
     engine = prefetcher if prefetcher is not None else NullPrefetcher()
+    refuse_natively_walked([engine])
     cfg = system if system is not None else SystemConfig()
     if not len(bundle.retire_pc):
         raise ValueError("cannot time an empty trace")

@@ -24,11 +24,13 @@ records, per retire index, what the training side will do there:
   captured tagged flag) to the history and, when tagged, insert the
   index entry.
 
-The fused PIF walker in :mod:`repro.sim.engine` replays the plan with a
-cursor, reducing per-retire training work from two compactor calls to an
+The native PIF lane walk (``_pifwalk.c``, driven by
+:func:`repro.sim.engine._walk_lane_native_pif`) replays the plan's five
+columns with a cursor, so per retire record the training side costs one
 integer comparison.  Bit-identity with the reference ``on_retire`` path
 is locked by ``tests/sim/test_engine.py`` (PIF rides the standard
-kernel-differential matrix) and ``tests/sim/test_trainplan.py``.
+kernel-differential matrix, plus a Hypothesis differential) and
+``tests/sim/test_trainplan.py``.
 
 Plans are memoized in the bundle's :meth:`TraceBundle.derived_cache`
 keyed by the training configuration, so shards and sweep points sharing
@@ -39,42 +41,42 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional
 
+import numpy as np
+
 from ..common.addressing import RegionGeometry
-from ..core.spatial import SpatialRegionRecord
 from ..trace.bundle import TraceBundle
 
 
 class PIFTrainPlan(NamedTuple):
     """The lane-independent training schedule of one retire stream.
 
-    Parallel event arrays, one entry per retire index at which the
-    training side acts (sorted ascending by ``at``; at most one event
-    per retire index, since one retire record feeds one channel):
+    Five parallel numpy columns, one entry per retire index at which
+    the training side acts (sorted ascending by ``at``; at most one
+    event per retire index, since one retire record feeds one channel):
 
-    * ``at`` — retire index the event fires at;
-    * ``key`` — channel key (trap level, or 0 without separation);
-    * ``trigger`` — closing region's trigger PC, or ``None`` for a pure
-      *open* event (the first retire record a channel ever sees);
-    * ``survives`` — temporal-compactor verdict for the closing region
-      (always False for opens);
-    * ``record_untagged`` / ``record_tagged`` — the history record the
-      emission appends, prebuilt for both values of the lane-dependent
-      tagged flag (``None`` for opens and for discarded emissions).
-      Prebuilding shares the immutable record objects across every lane
-      of a trace group, which also makes the SABs' shared block-decode
-      memo hit across lanes.
+    * ``at`` (int64) — retire index the event fires at;
+    * ``key`` (int64) — channel key (trap level, or 0 without
+      separation);
+    * ``trigger`` (int64) — closing region's trigger PC, or -1 for a
+      pure *open* event (the first retire record a channel ever sees);
+    * ``survives`` (bool) — temporal-compactor verdict for the closing
+      region (always False for opens);
+    * ``bits`` (int64) — closing region's bit vector (0 for opens).
 
     Every emit event implicitly re-opens a region at the same retire
     index (mirroring ``SpatialCompactor.feed``), so the replaying walker
     refreshes the channel's pending tagged flag on *every* event.
     """
 
-    at: List[int]
-    key: List[int]
-    trigger: List[Optional[int]]
-    survives: List[bool]
-    record_untagged: List[Optional[SpatialRegionRecord]]
-    record_tagged: List[Optional[SpatialRegionRecord]]
+    at: np.ndarray
+    key: np.ndarray
+    trigger: np.ndarray
+    survives: np.ndarray
+    bits: np.ndarray
+
+
+#: Column dtypes of a :class:`PIFTrainPlan`, in field order.
+PLAN_DTYPES = (np.int64, np.int64, np.int64, np.bool_, np.int64)
 
 
 def build_train_plan(retire_pcs: List[int], retire_traps: List[int],
@@ -99,20 +101,19 @@ def build_train_plan(retire_pcs: List[int], retire_traps: List[int],
     preceding = geometry.preceding
     succeeding = geometry.succeeding
     #: channel key -> [trigger_pc, trigger_block, bits, LRU of recent
-    #: records] (the spatial compactor's open region + temporal state).
+    #: trigger -> bits] (the spatial compactor's open region + temporal
+    #: state).
     channels: Dict[int, List] = {}
     at: List[int] = []
     key: List[int] = []
-    trigger: List[Optional[int]] = []
+    trigger: List[int] = []
     survives: List[bool] = []
-    record_untagged: List[Optional[SpatialRegionRecord]] = []
-    record_tagged: List[Optional[SpatialRegionRecord]] = []
+    bits: List[int] = []
     at_append = at.append
     key_append = key.append
     trigger_append = trigger.append
     survives_append = survives.append
-    untagged_append = record_untagged.append
-    tagged_append = record_tagged.append
+    bits_append = bits.append
     index = -1
     for pc, trap_level in zip(retire_pcs, retire_traps):
         index += 1
@@ -124,10 +125,9 @@ def build_train_plan(retire_pcs: List[int], retire_traps: List[int],
                                      LRUCache(temporal_entries)]
             at_append(index)
             key_append(channel_key)
-            trigger_append(None)
+            trigger_append(-1)
             survives_append(False)
-            untagged_append(None)
-            tagged_append(None)
+            bits_append(0)
             continue
         block = pc >> block_bits
         offset = block - state[1]
@@ -139,35 +139,29 @@ def build_train_plan(retire_pcs: List[int], retire_traps: List[int],
             state[2] |= 1 << (offset + preceding)
             continue
         # Region closes: emit (temporal verdict inlined), then re-open.
-        region = SpatialRegionRecord(state[0], state[2], False)
+        region_pc, region_bits = state[0], state[2]
         recent = state[3]
         if temporal_entries == 0:
             survived = True
         else:
-            tracked = recent.peek(region.trigger_pc)
-            if tracked is not None and region.bits & ~tracked.bits == 0:
-                recent.promote(region.trigger_pc)
+            tracked = recent.peek(region_pc)
+            if tracked is not None and region_bits & ~tracked == 0:
+                recent.promote(region_pc)
                 survived = False
             else:
-                recent.put(region.trigger_pc, region)
+                recent.put(region_pc, region_bits)
                 survived = True
         at_append(index)
         key_append(channel_key)
-        trigger_append(region.trigger_pc)
+        trigger_append(region_pc)
         survives_append(survived)
-        if survived:
-            untagged_append(region)
-            tagged_append(SpatialRegionRecord(region.trigger_pc,
-                                              region.bits, True))
-        else:
-            untagged_append(None)
-            tagged_append(None)
+        bits_append(region_bits)
         state[0] = pc
         state[1] = block
         state[2] = 0
-    return PIFTrainPlan(at=at, key=key, trigger=trigger, survives=survives,
-                        record_untagged=record_untagged,
-                        record_tagged=record_tagged)
+    return PIFTrainPlan(*(np.asarray(column, dtype=dtype) for column, dtype
+                          in zip((at, key, trigger, survives, bits),
+                                 PLAN_DTYPES)))
 
 
 def train_plan_for(bundle: TraceBundle, geometry: RegionGeometry,
@@ -206,9 +200,9 @@ def train_plan_for(bundle: TraceBundle, geometry: RegionGeometry,
 # the bundle's *content hash* plus the training parameters — no
 # generator-version stamp is needed (a regenerated trace has a new
 # content hash, and identical content yields an identical plan).  The
-# arrays are persisted as a compressed ``.npz`` (records rebuilt on
-# load, which costs a fraction of the compaction pass); any unreadable
-# or shape-inconsistent sidecar is deleted and treated as a miss.
+# five columns are persisted as a compressed ``.npz`` and loaded as
+# they are; any unreadable or shape-inconsistent sidecar is deleted and
+# treated as a miss.
 # ``repro traces gc --all`` clears the directory (see trace/store.py).
 
 #: Subdirectory of the trace store root holding plan sidecars.
@@ -241,8 +235,7 @@ def plan_derivation_hash() -> str:
 def _plan_path(bundle: TraceBundle, params: tuple):
     """Sidecar path (a ``pathlib.Path``) for (bundle, params), or None
     when the trace store is disabled or the region shape cannot be
-    packed (``trigger`` uses -1 as its None sentinel; ``bits`` must fit
-    an int64)."""
+    packed (``bits`` must fit an int64)."""
     from ..trace.store import TraceStore
 
     preceding, succeeding = params[0], params[1]
@@ -263,27 +256,14 @@ def _save_sidecar(bundle: TraceBundle, params: tuple,
     cost the next process a rebuild)."""
     import os
 
-    import numpy as np
-
     path = _plan_path(bundle, params)
     if path is None:
         return
-    trigger = np.asarray([-1 if value is None else value
-                          for value in plan.trigger], dtype=np.int64)
-    bits = np.asarray([0 if record is None else record.bits
-                       for record in plan.record_untagged], dtype=np.int64)
     scratch = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(scratch, "wb") as handle:
-            np.savez_compressed(
-                handle,
-                at=np.asarray(plan.at, dtype=np.int64),
-                key=np.asarray(plan.key, dtype=np.int16),
-                trigger=trigger,
-                survives=np.asarray(plan.survives, dtype=np.bool_),
-                bits=bits,
-            )
+            np.savez_compressed(handle, **plan._asdict())
         os.replace(scratch, path)
     except OSError:
         return
@@ -293,10 +273,8 @@ def _save_sidecar(bundle: TraceBundle, params: tuple,
 
 def _load_sidecar(bundle: TraceBundle,
                   params: tuple) -> Optional[PIFTrainPlan]:
-    """Load a persisted plan, rebuilding the record objects; unreadable
-    or inconsistent sidecars are removed and reported as misses."""
-    import numpy as np
-
+    """Load a persisted plan's columns; unreadable or inconsistent
+    sidecars are removed and reported as misses."""
     path = _plan_path(bundle, params)
     if path is None or not path.exists():
         return None
@@ -309,36 +287,14 @@ def _load_sidecar(bundle: TraceBundle,
         path.write_bytes(b"corrupted-by-fault-plan")
     try:
         with np.load(path) as archive:
-            at = archive["at"].tolist()
-            key = archive["key"].tolist()
-            raw_trigger = archive["trigger"].tolist()
-            survives = archive["survives"].tolist()
-            bits = archive["bits"].tolist()
+            plan = PIFTrainPlan(*(archive[name]
+                                  for name in PIFTrainPlan._fields))
     except Exception:
         path.unlink(missing_ok=True)
         return None
-    if not (len(at) == len(key) == len(raw_trigger) == len(survives)
-            == len(bits)):
+    if (len({len(column) for column in plan}) != 1
+            or any(column.ndim != 1 or column.dtype != dtype
+                   for column, dtype in zip(plan, PLAN_DTYPES))):
         path.unlink(missing_ok=True)
         return None
-    # Rebuild the record objects at C speed: construct every row via
-    # the tuple fast path (`_make`), then mask non-survivors/opens to
-    # None.  ~10x faster than row-by-row keyword construction, which
-    # would otherwise rival the compaction pass the sidecar replaces.
-    from itertools import repeat
-
-    make = SpatialRegionRecord._make
-    all_untagged = list(map(make, zip(raw_trigger, bits, repeat(False))))
-    all_tagged = list(map(make, zip(raw_trigger, bits, repeat(True))))
-    trigger: List[Optional[int]] = [
-        None if trigger_pc < 0 else trigger_pc
-        for trigger_pc in raw_trigger]
-    record_untagged: List[Optional[SpatialRegionRecord]] = [
-        record if survived and record[0] >= 0 else None
-        for record, survived in zip(all_untagged, survives)]
-    record_tagged: List[Optional[SpatialRegionRecord]] = [
-        record if survived and record[0] >= 0 else None
-        for record, survived in zip(all_tagged, survives)]
-    return PIFTrainPlan(at=at, key=key, trigger=trigger, survives=survives,
-                        record_untagged=record_untagged,
-                        record_tagged=record_tagged)
+    return plan

@@ -178,12 +178,29 @@ def ensure_scratch_store(prefix: str = "repro-traces-") -> Optional[Path]:
     Returns the scratch root, or None when the environment already
     decides.
     """
-    if STORE_ENV in os.environ:
+    return _scratch_env(STORE_ENV, prefix)
+
+
+def ensure_scratch_cache_home(prefix: str = "repro-cache-") -> Optional[Path]:
+    """:func:`ensure_scratch_store` for ``XDG_CACHE_HOME``, the user
+    cache root where the native PIF lane walk is built
+    (:mod:`repro.sim.native`)."""
+    return _scratch_env("XDG_CACHE_HOME", prefix)
+
+
+def _scratch_env(name: str, prefix: str) -> Optional[Path]:
+    if name in os.environ:
         return None
     scratch = tempfile.mkdtemp(prefix=prefix)
-    os.environ[STORE_ENV] = scratch
+    os.environ[name] = scratch
     atexit.register(shutil.rmtree, scratch, True)
     return Path(scratch)
+
+
+def cache_home() -> Path:
+    """The user cache root: ``$XDG_CACHE_HOME``, else ``~/.cache``."""
+    value = os.environ.get("XDG_CACHE_HOME")
+    return Path(value).expanduser() if value else Path.home() / ".cache"
 
 
 def store_root_from_env() -> Optional[Path]:
@@ -193,10 +210,7 @@ def store_root_from_env() -> Optional[Path]:
         if value.strip().lower() in _DISABLE_VALUES:
             return None
         return Path(value).expanduser()
-    cache_home = os.environ.get("XDG_CACHE_HOME")
-    base = Path(cache_home).expanduser() if cache_home else (
-        Path.home() / ".cache")
-    return base / "repro" / "traces"
+    return cache_home() / "repro" / "traces"
 
 
 class TraceStore:

@@ -8,7 +8,10 @@ Hermeticity: unless the caller explicitly exported ``REPRO_TRACE_STORE``
 (CI does, to cache traces across runs), the on-disk trace store is
 redirected to a throwaway directory for the whole session, so test runs
 never write archives into — or read state from — the user's real
-``~/.cache/repro/traces``.
+``~/.cache/repro/traces``.  Likewise, unless the caller exported
+``XDG_CACHE_HOME``, the user cache root (where the native PIF lane walk
+is built, :mod:`repro.sim.native`) is a throwaway directory, so a test
+run writes nothing under the real ``~/.cache``.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ import pytest
 
 from repro.common.config import CacheConfig
 from repro.pipeline.tracegen import generate_trace
-from repro.trace.store import ensure_scratch_store
+from repro.trace.store import ensure_scratch_cache_home, ensure_scratch_store
 from repro.workloads.generator import build_program
 from repro.workloads.spec import get_spec
 
 ensure_scratch_store(prefix="repro-test-traces-")
+ensure_scratch_cache_home(prefix="repro-test-cache-")
 
 #: Cache used across trace-level tests: small so misses are plentiful
 #: even in short traces.

@@ -109,9 +109,10 @@ from repro.core.pif import AccessOrderPIF  # noqa: E402
 from repro.sim.engine import resolve_kernel  # noqa: E402
 
 #: Every engine shape the fast kernel specializes or falls back on:
-#: fused walkers (next-line, stride, discontinuity), hook-driven inline
-#: walker (pif, tifs, none), subclass fallback (AccessOrderPIF must NOT
-#: take the fused path), and both next-line triggers.
+#: fused walkers (next-line, stride, discontinuity, and pif's native
+#: lane walk), hook-driven inline walker (tifs, none), subclass fallback
+#: (AccessOrderPIF must NOT take the fused path), and both next-line
+#: triggers.
 ALL_ENGINES = ("pif", "pif-no-tlsep", "next-line", "next-line-miss",
                "stride", "discontinuity", "tifs", "none")
 
@@ -154,6 +155,53 @@ class TestKernelEquivalence:
             assert_full_lane_identity(ref_result, fast_result)
         for ref_engine, fast_engine in zip(ref_engines, fast_engines):
             assert ref_engine.stats == fast_engine.stats, ref_engine.name
+
+    @pytest.mark.parametrize("native_walk", ["native", "python"])
+    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
+    def test_pif_lanes_with_and_without_native(self, oltp_trace,
+                                               monkeypatch, replacement,
+                                               native_walk):
+        """PIF lanes vs the reference, once through the native lane walk
+        and once with the loader returning None (the hook walker):
+        lane results, prefetch stats, channel stats and the compactor,
+        index and SAB-file counters all bit-identical."""
+        from repro.sim import native
+
+        if native_walk == "python":
+            monkeypatch.setattr(native, "load", lambda: None)
+        elif native.load() is None:
+            pytest.skip("native PIF lane walk unavailable (no working C "
+                        "compiler)")
+        config = CacheConfig(capacity_bytes=16 * 1024, associativity=2,
+                             replacement=replacement)
+
+        def engines():
+            return [build_engine("pif"), make_prefetcher("pif-no-tlsep"),
+                    ProactiveInstructionFetch(unbounded_index=True),
+                    ProactiveInstructionFetch(PIFConfig(
+                        sab_count=1, history_entries=256, index_entries=64,
+                        temporal_compactor_entries=0))]
+
+        def state(engine):
+            return (engine.stats, [
+                (key, channel.stats, channel.spatial.regions_emitted,
+                 channel.temporal.passed, channel.temporal.discarded,
+                 channel.index.insertions, channel.index.hits,
+                 channel.index.misses, channel.sabs.allocations)
+                for key, channel in engine._channels.items()])
+
+        ref_engines, fast_engines = engines(), engines()
+        ref = run_multi_prefetch_simulation(
+            oltp_trace.bundle, ref_engines, cache_config=config,
+            warmup_fraction=0.4, kernel="reference")
+        fast = run_multi_prefetch_simulation(
+            oltp_trace.bundle, fast_engines, cache_config=config,
+            warmup_fraction=0.4, kernel="fast")
+        for ref_result, fast_result in zip(ref, fast):
+            assert_full_lane_identity(ref_result, fast_result)
+        for ref_engine, fast_engine in zip(ref_engines, fast_engines):
+            assert state(ref_engine) == state(fast_engine)
+            assert fast_engine.walked_natively == (native_walk == "native")
 
     @pytest.mark.parametrize("associativity,capacity",
                              [(1, 8 * 1024), (4, 16 * 1024)])
