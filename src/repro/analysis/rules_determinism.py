@@ -296,23 +296,19 @@ class EnvReadRule(Rule):
     An env read inside a pool worker sees the *worker's* environment,
     which matches the parent only because
     :mod:`repro.experiments.parallel` explicitly snapshots and
-    re-applies it in the initializer.  Keeping reads confined to
-    ``trace/store.py``, ``trace/serialize.py``, and
-    ``common/config.py`` keeps that propagation surface auditable.
-    Applies to every module inside the ``repro`` package; harnesses
-    (tests, benchmarks, examples) configure the environment and are out
-    of scope by construction.
+    re-applies it in the initializer.  Only ``trace/store.py`` is
+    exempt; every other read carries an audited suppression, which
+    keeps that propagation surface auditable.  Applies to every module
+    inside the ``repro`` package; harnesses (tests, benchmarks,
+    examples) configure the environment and are out of scope by
+    construction.
     """
 
     code = "RL004"
     name = "env-read-outside-config"
     summary = "os.environ/os.getenv outside sanctioned config modules"
     scope = ("",)  # every module inside the repro package
-    exempt = (
-        "repro/trace/store.py",
-        "repro/trace/serialize.py",
-        "repro/common/config.py",
-    )
+    exempt = ("repro/trace/store.py",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -421,14 +421,13 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
         return 2
     if args.transport == "inline":
         summary = run_sweep(spec, args.out, jobs=args.jobs,
-                            limit=args.limit, kernel=args.kernel,
-                            max_retries=args.max_retries)
+                            limit=args.limit, max_retries=args.max_retries)
     else:
         from .dist import run_distributed_sweep
 
         summary = run_distributed_sweep(
             spec, args.out, transport=args.transport,
-            workers=args.workers, limit=args.limit, kernel=args.kernel,
+            workers=args.workers, limit=args.limit,
             max_retries=args.max_retries,
             lease_timeout=args.lease_timeout,
             host=args.bind_host, port=args.bind_port,
@@ -549,8 +548,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = ServiceConfig(data_dir=args.data_dir, jobs=args.jobs,
                                queue_depth=args.queue_depth,
-                               max_body_bytes=args.max_body_kb * 1024,
-                               kernel=args.kernel)
+                               max_body_bytes=args.max_body_kb * 1024)
     except ValueError as error:
         print(f"invalid configuration: {error}", file=sys.stderr)
         return 2
@@ -749,13 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_run.add_argument("--limit", type=int, default=None,
                            help="compute at most N new points this run "
                                 "(the sweep stays resumable)")
-    sweep_run.add_argument("--kernel", default=None,
-                           choices=("fast", "reference"),
-                           help="simulation kernel (default: "
-                                "$REPRO_SIM_KERNEL or fast; recorded "
-                                "metrics are bit-identical — records "
-                                "differ only in the kernel provenance "
-                                "field)")
     sweep_run.add_argument("--max-retries", type=int, default=2,
                            help="retries per failed trace-group task "
                                 "before it is quarantined as failed "
@@ -863,10 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-body-kb", type=int, default=1024,
                        help="max request body size in KiB; larger spec "
                             "submissions get 413")
-    serve.add_argument("--kernel", default=None,
-                       choices=("fast", "reference"),
-                       help="simulation kernel for every job (default: "
-                            "$REPRO_SIM_KERNEL or fast)")
     serve.set_defaults(func=cmd_serve)
 
     worker = commands.add_parser(

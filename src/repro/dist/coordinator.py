@@ -246,7 +246,6 @@ class LeaseBoard:
 def run_distributed_sweep(spec: ScenarioSpec, out: Union[str, Path], *,
                           transport: str = "local", workers: int = 2,
                           limit: Optional[int] = None,
-                          kernel: Optional[str] = None,
                           log: Optional[Callable[[str], None]] = None,
                           max_retries: int = DEFAULT_MAX_RETRIES,
                           lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
@@ -290,7 +289,7 @@ def run_distributed_sweep(spec: ScenarioSpec, out: Union[str, Path], *,
         lambda line: print(line, file=sys.stderr))
 
     plan = prepare_sweep(spec, out, jobs=workers, limit=limit,
-                         kernel=kernel, attach_baselines=True)
+                         attach_baselines=True)
     emit(plan.describe(spec.name, workers) + f", transport={transport}")
     if not plan.tasks:
         return SweepRunSummary(

@@ -400,11 +400,11 @@ def run_sweep(spec: ScenarioSpec, out: Union[str, Path], jobs: int = 1,
     wide trace groups so the pool stays saturated (records are
     identical for any value); ``limit`` caps the number of *new* points
     this invocation computes — the standard way to chunk a long sweep
-    or to exercise resume in tests; ``kernel`` forces the simulation
-    kernel (default: ``REPRO_SIM_KERNEL`` or the fast path — recorded
-    metrics are bit-identical either way; records differ only in their
-    kernel provenance field).  ``log`` receives one progress line per
-    completed task (default: stderr).
+    or to exercise resume in tests; ``kernel`` selects the simulation
+    kernel (default: the fast path; the differential tests pass
+    ``"reference"`` — recorded metrics are bit-identical either way;
+    records differ only in their kernel provenance field).  ``log``
+    receives one progress line per completed task (default: stderr).
 
     ``should_stop`` is the cooperative-stop hook (the sweep service's
     graceful shutdown): polled between tasks, never mid-walk.  When it
@@ -433,8 +433,7 @@ def run_sweep(spec: ScenarioSpec, out: Union[str, Path], jobs: int = 1,
         lambda line: print(line, file=sys.stderr))
 
     # prepare_sweep resolves the kernel in the parent (failing fast on a
-    # bad selector): tasks must carry the concrete kernel name, never a
-    # None a worker would resolve against its own environment.
+    # bad selector), so every task carries the concrete kernel name.
     plan = prepare_sweep(spec, out, jobs=jobs, limit=limit, kernel=kernel)
     store = plan.store
     sidecar = plan.sidecar

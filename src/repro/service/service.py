@@ -67,7 +67,6 @@ class ServiceConfig:
     jobs: int = 1                 #: worker processes per sweep
     queue_depth: int = DEFAULT_QUEUE_DEPTH
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
-    kernel: Optional[str] = None  #: simulation kernel override
 
     def __post_init__(self) -> None:
         if self.jobs <= 0:
@@ -271,8 +270,7 @@ class SweepService:
         try:
             fire("service.job", job.id)
             summary = run_sweep(parse_spec(job.raw_spec), out,
-                                jobs=job.jobs, kernel=self.config.kernel,
-                                log=sweep_log,
+                                jobs=job.jobs, log=sweep_log,
                                 should_stop=self._stop.is_set)
         except Exception as error:  # reprolint: disable=RL009 - last-resort job boundary: the worker thread must survive any job; the failure is recorded on the job, never swallowed
             with self._lock:

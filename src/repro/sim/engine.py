@@ -40,13 +40,12 @@ Two interchangeable kernels drive the lane walk:
 * ``"reference"`` — the original object-model walk over
   :class:`~repro.cache.reference.ReferenceInstructionCache` with
   ``access()``/``on_demand_access()``, kept as the differentially
-  tested semantics oracle (and the baseline the lane-walk benchmark
-  measures speedup against).
+  tested semantics oracle.
 
 Both kernels are locked bit-identical for every prefetcher × replacement
 policy by ``tests/sim/test_engine.py`` (PIF lanes with the native walk
-and without it); ``REPRO_SIM_KERNEL`` overrides the default for A/B
-runs of unmodified callers.
+and without it).  Only callers that pass ``kernel="reference"`` — the
+differential tests — take the oracle.
 
 The no-prefetch baseline depends only on the access stream and the
 cache configuration, so it does not ride the lane walk at all: each
@@ -66,7 +65,6 @@ remain restricted to the post-warmup measurement window.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -87,22 +85,19 @@ from .baseline import measured_baseline
 from .trainplan import PIFTrainPlan, PLAN_DTYPES, train_plan_for
 from .tracesim import PrefetchSimResult
 
-#: Lane-walk kernels; ``REPRO_SIM_KERNEL`` selects the default.
+#: Lane-walk kernels; ``"fast"`` is the default.
 KERNELS = ("fast", "reference")
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
-    """Normalize a kernel selector (None -> environment -> "fast").
+    """Normalize a kernel selector (None -> ``"fast"``), rejecting
+    unknown names.
 
-    The one sanctioned ``REPRO_SIM_KERNEL`` resolution point.  Callers
-    that fan work out must resolve *before* building tasks (see
-    :func:`repro.scenarios.runner.run_sweep`) so a worker never consults
-    its own environment; both kernels produce bit-identical metrics, so
-    the selector only ever changes provenance fields and speed.
+    Both kernels produce bit-identical metrics, so the selector only
+    ever changes provenance fields and speed.
     """
     if kernel is None:
-        # reprolint: disable=RL004 - sanctioned kernel-selector resolution point
-        kernel = os.environ.get("REPRO_SIM_KERNEL") or "fast"
+        kernel = "fast"
     if kernel not in KERNELS:
         raise ValueError(f"unknown simulation kernel {kernel!r}; "
                          f"choices: {KERNELS}")
@@ -880,11 +875,11 @@ def run_multi_prefetch_simulation(
     ``cache_config`` applies to every lane unless ``cache_configs``
     supplies a per-lane override (``None`` entries fall back to
     ``cache_config``).  ``kernel`` selects the lane-walk implementation
-    (``"fast"``/``"reference"``; None reads ``REPRO_SIM_KERNEL`` and
-    falls back to the fast kernel — results are bit-identical either
-    way).  Returns one :class:`PrefetchSimResult` per prefetcher, in
-    input order, each identical to what a standalone sequential run of
-    that engine would have produced.
+    (``"fast"``, the default for None, or ``"reference"`` — results
+    are bit-identical either way).  Returns one
+    :class:`PrefetchSimResult` per prefetcher, in input order, each
+    identical to what a standalone sequential run of that engine would
+    have produced.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")

@@ -83,7 +83,7 @@ def run_timing_simulation(
     ``perfect_cache=True`` models the paper's perfect-latency L1-I
     (every fetch returns at hit latency; all other behaviour unchanged).
     ``kernel`` mirrors :func:`repro.sim.engine.run_multi_prefetch_simulation`:
-    ``"fast"`` (default, or via ``REPRO_SIM_KERNEL``) runs the columnar
+    ``"fast"`` (the default, also for None) runs the columnar
     result-code loop, ``"reference"`` the original object walk; the two
     produce identical results.
     """

@@ -158,30 +158,6 @@ class TraceBundle:
             self._derived["decoded"] = decoded
         return decoded
 
-    def access_trap_segments(self) -> List[Tuple[int, int, int]]:
-        """Maximal runs of constant access trap level, cached.
-
-        Returns ``[(start, end, trap_level), ...]`` covering the access
-        stream.  Trap transitions are rare (hundreds per trace), so
-        walkers that resolve per-trap-level state can hoist it out of
-        the per-access loop by iterating segments.
-        """
-        segments = self._derived.get("trap_segments")
-        if segments is None:
-            trap = self.access_trap
-            total = len(trap)
-            if total == 0:
-                segments = []
-            else:
-                boundaries = (np.flatnonzero(trap[1:] != trap[:-1]) + 1
-                              ).tolist()
-                starts = [0] + boundaries
-                ends = boundaries + [total]
-                levels = trap[starts].tolist()
-                segments = list(zip(starts, ends, levels))
-            self._derived["trap_segments"] = segments
-        return segments
-
     def content_hash(self) -> str:
         """SHA-256 hex digest over the raw column bytes plus identity.
 

@@ -14,16 +14,16 @@ trace store) and six arrays — ``retire_pc``/``retire_tl`` (int64 /
 uint8) and ``access_block``/``access_pc``/``access_tl``/``access_wp``
 (int64 / int64 / uint8 / bool).  Because the members are stored flat,
 each column's ``.npy`` payload sits contiguously in the file and is
-loaded as a **read-only memory map** (:func:`_mmap_member`): worker
-processes replaying the same archive share the OS page cache instead of
-each inflating a compressed copy, and loads cost page faults, not
-decompression.  Set ``REPRO_TRACE_MMAP=off`` to fall back to plain
-in-memory loading (the arrays are then writable copies).
+always loaded as a **read-only memory map** (:func:`_mmap_member`):
+worker processes replaying the same archive share the OS page cache
+instead of each inflating a compressed copy, and loads cost page
+faults, not decompression.
 
 Version 2 (the compressed PR 2 layout, same members) remains fully
-readable — it simply never maps.  Version 1 stored unsigned addresses
-and is rejected rather than migrated.  :func:`save_bundle` accepts
-``format_version=2`` for compatibility tooling and tests.
+readable — it always loads into memory, never maps.  Version 1 stored
+unsigned addresses and is rejected rather than migrated.
+:func:`save_bundle` accepts ``format_version=2`` for compatibility
+tooling and tests.
 
 All load-side failures — truncated or corrupt archives, short or
 misaligned members, missing arrays, undecodable metadata, version
@@ -60,24 +60,9 @@ _ARRAY_KEYS = ("retire_pc", "retire_tl", "access_block", "access_pc",
 _META_KEYS = ("version", "workload", "core", "seed", "block_bytes",
               "instructions")
 
-#: Environment variable disabling memory-mapped column loading.
-MMAP_ENV = "REPRO_TRACE_MMAP"
-
-#: ``REPRO_TRACE_MMAP`` values that disable mapping.
-_MMAP_OFF_VALUES = frozenset({"0", "off", "none", "disabled", "false"})
-
 
 class TraceFormatError(ValueError):
     """A trace archive is unreadable, incomplete, or version-mismatched."""
-
-
-def mmap_enabled() -> bool:
-    """Whether v3 archives should be loaded as read-only memory maps
-    (the default; ``REPRO_TRACE_MMAP=off`` disables)."""
-    value = os.environ.get(MMAP_ENV)
-    if value is None:
-        return True
-    return value.strip().lower() not in _MMAP_OFF_VALUES
 
 
 def save_bundle(bundle: TraceBundle, path: Union[str, Path],
@@ -257,24 +242,20 @@ def _read_meta(archive: zipfile.ZipFile, path: Path
     return names, meta
 
 
-def load_bundle_extra(path: Union[str, Path],
-                      mmap: Optional[bool] = None
+def load_bundle_extra(path: Union[str, Path]
                       ) -> Tuple[TraceBundle, Dict[str, Any]]:
     """Deserialize a bundle and its ``extra`` metadata dictionary.
 
-    v3 archives are loaded as read-only memory maps when ``mmap`` is
-    true (default: :func:`mmap_enabled`, i.e. on unless
-    ``REPRO_TRACE_MMAP=off``); v2 archives always load in memory.
-    Raises :class:`TraceFormatError` on any malformed or
+    v3 archives load as read-only memory maps; v2 archives load in
+    memory.  Raises :class:`TraceFormatError` on any malformed or
     version-mismatched archive.
     """
     path = Path(path)
     fire("trace.open", path.name)
-    use_mmap = mmap_enabled() if mmap is None else mmap
     try:
         with zipfile.ZipFile(path) as archive:
             names, meta = _read_meta(archive, path)
-            if meta["version"] >= 3 and use_mmap:
+            if meta["version"] >= 3:
                 file_size = path.stat().st_size
                 arrays: Optional[Dict[str, np.ndarray]] = {
                     key: _mmap_member(path, archive.getinfo(names[key]),
@@ -284,7 +265,7 @@ def load_bundle_extra(path: Union[str, Path],
             else:
                 arrays = None
         if arrays is None:
-            # Compressed v2 (or mapping disabled): inflate in memory.
+            # Compressed v2: inflate in memory.
             with np.load(path) as npz:
                 arrays = {key: npz[key] for key in _ARRAY_KEYS}
     except TraceFormatError:
@@ -323,8 +304,7 @@ def load_bundle_extra(path: Union[str, Path],
     return bundle, meta.get("extra", {})
 
 
-def load_bundle(path: Union[str, Path],
-                mmap: Optional[bool] = None) -> TraceBundle:
+def load_bundle(path: Union[str, Path]) -> TraceBundle:
     """Deserialize a bundle previously written by :func:`save_bundle`."""
-    bundle, _ = load_bundle_extra(path, mmap=mmap)
+    bundle, _ = load_bundle_extra(path)
     return bundle

@@ -66,6 +66,15 @@ _GENERATOR_SOURCE_GLOBS = (
     "trace/serialize.py",
 )
 
+#: Files the globs above match that no generated trace depends on:
+#: stage timers and retry backoff are runtime plumbing, never an input
+#: to a generated value, so editing them must neither re-key stored
+#: traces nor mark sweep records stale.
+_GENERATOR_SOURCE_EXCLUDES = frozenset({
+    "common/profiling.py",
+    "common/backoff.py",
+})
+
 #: Subdirectory of the store root where the replication tier stages
 #: partially fetched archives (``{name}.npz.part``).  Kept out of the
 #: flat ``*.npz`` namespace so directory scans and gc never mistake a
@@ -81,11 +90,15 @@ _generator_override: Optional[str] = None
 
 def _hash_sources(package_root: Path) -> str:
     """SHA-256 over the generator source files under ``package_root``
-    (path and content both feed the digest, so renames invalidate too)."""
+    (path and content both feed the digest, so renames invalidate too;
+    :data:`_GENERATOR_SOURCE_EXCLUDES` never feed it)."""
     digest = hashlib.sha256()
     for pattern in _GENERATOR_SOURCE_GLOBS:
         for source in sorted(package_root.glob(pattern)):
-            digest.update(str(source.relative_to(package_root)).encode())
+            relative = source.relative_to(package_root)
+            if relative.as_posix() in _GENERATOR_SOURCE_EXCLUDES:
+                continue
+            digest.update(str(relative).encode())
             digest.update(b"\x00")
             digest.update(source.read_bytes())
             digest.update(b"\x00")

@@ -220,12 +220,10 @@ class TestKernelEquivalence:
         for ref_result, fast_result in zip(ref, fast):
             assert_full_lane_identity(ref_result, fast_result)
 
-    def test_kernel_resolution(self, monkeypatch):
+    def test_kernel_resolution(self):
         assert resolve_kernel(None) == "fast"
+        assert resolve_kernel("fast") == "fast"
         assert resolve_kernel("reference") == "reference"
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "reference")
-        assert resolve_kernel(None) == "reference"
-        monkeypatch.delenv("REPRO_SIM_KERNEL")
         with pytest.raises(ValueError):
             resolve_kernel("vectorized")
 

@@ -15,7 +15,6 @@ from repro.trace.serialize import (
     TraceFormatError,
     load_bundle,
     load_bundle_extra,
-    mmap_enabled,
     save_bundle,
     save_bundle_atomic,
 )
@@ -92,7 +91,7 @@ class TestFormatV3:
 
     def test_v3_loads_as_readonly_memmap(self, tmp_path):
         path = save_bundle(small_bundle(), tmp_path / "m")
-        loaded = load_bundle(path, mmap=True)
+        loaded = load_bundle(path)
         # from_columns wraps the memmap in a zero-copy base-class view:
         # the backing object is the map, and the data stays read-only.
         assert isinstance(loaded.access_block.base, np.memmap)
@@ -102,23 +101,9 @@ class TestFormatV3:
         assert loaded.retires == small_bundle().retires
         assert loaded.accesses == small_bundle().accesses
 
-    def test_mmap_off_loads_plain_arrays(self, tmp_path):
-        path = save_bundle(small_bundle(), tmp_path / "p")
-        loaded = load_bundle(path, mmap=False)
-        assert not isinstance(loaded.access_block.base, np.memmap)
-        assert loaded.accesses == small_bundle().accesses
-
-    def test_mmap_env_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_MMAP", raising=False)
-        assert mmap_enabled()
-        monkeypatch.setenv("REPRO_TRACE_MMAP", "off")
-        assert not mmap_enabled()
-        monkeypatch.setenv("REPRO_TRACE_MMAP", "1")
-        assert mmap_enabled()
-
     def test_empty_columns_mmap(self, tmp_path):
         bundle = TraceBundle(workload="empty", core=0, seed=0)
-        loaded = load_bundle(save_bundle(bundle, tmp_path / "e"), mmap=True)
+        loaded = load_bundle(save_bundle(bundle, tmp_path / "e"))
         assert loaded.retires == [] and loaded.accesses == []
 
     def test_v2_write_and_read_compat(self, tmp_path):
@@ -132,8 +117,8 @@ class TestFormatV3:
         with zipfile.ZipFile(path) as archive:
             kinds = {info.compress_type for info in archive.infolist()}
         assert zipfile.ZIP_DEFLATED in kinds
-        bundle, extra = load_bundle_extra(path, mmap=True)
-        assert not isinstance(bundle.access_block, np.memmap)
+        bundle, extra = load_bundle_extra(path)
+        assert not isinstance(bundle.access_block.base, np.memmap)
         assert bundle.retires == small_bundle().retires
         assert bundle.accesses == small_bundle().accesses
         assert extra == {"note": "old"}
@@ -156,7 +141,7 @@ class TestFormatV3:
                     payload = payload[:len(payload) - 4]
                 archive.writestr(name, payload)
         with pytest.raises(TraceFormatError):
-            load_bundle(clipped, mmap=True)
+            load_bundle(clipped)
 
     def test_v3_meta_claiming_compressed_members_rejected(self, tmp_path):
         """Version-3 metadata over deflated members cannot be mapped
@@ -171,10 +156,7 @@ class TestFormatV3:
             for name, payload in members.items():
                 archive.writestr(name, payload)
         with pytest.raises(TraceFormatError):
-            load_bundle(rezipped, mmap=True)
-        # With mapping off the same file is perfectly readable.
-        assert load_bundle(rezipped, mmap=False).retires == \
-            small_bundle().retires
+            load_bundle(rezipped)
 
 
 def _rewrite_meta(path, mutate):

@@ -1,7 +1,9 @@
 """Content-addressed trace store: keys, hits, invalidation, eviction."""
 
 import os
+import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +149,23 @@ class TestKeyInvalidation:
             package / "pipeline" / "b.py")
         second = store_module._hash_sources(package)
         assert first != second
+
+    def test_runtime_plumbing_is_not_hashed(self, tmp_path):
+        """On a copy of the real package: editing the stage timers or
+        the retry backoff keeps the generator hash (and every stored
+        trace) as it is, while editing the RNG helpers moves it."""
+        package = tmp_path / "repro"
+        shutil.copytree(Path(store_module.__file__).resolve().parent.parent,
+                        package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        original = store_module._hash_sources(package)
+        for name in ("profiling.py", "backoff.py"):
+            with open(package / "common" / name, "a") as source:
+                source.write("\n# edited\n")
+            assert store_module._hash_sources(package) == original, name
+        with open(package / "common" / "rng.py", "a") as source:
+            source.write("\n# edited\n")
+        assert store_module._hash_sources(package) != original
 
 
 class TestGc:
