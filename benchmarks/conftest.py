@@ -15,7 +15,7 @@ The benchmark traces go through the on-disk trace store; when
 ``REPRO_TRACE_STORE`` is not explicitly set (CI sets it to a cached
 workspace directory), it is redirected to a throwaway directory so
 benchmark runs never populate the user's real ``~/.cache``.  The user
-cache root, where the native PIF lane walk is built, gets the same
+cache root, where the native walks are built, gets the same
 treatment when ``XDG_CACHE_HOME`` is not set.
 """
 

@@ -1,8 +1,15 @@
 """Figure 10: competitive coverage and speedup comparison.
 
-Paper shape: PIF coverage ~near-perfect vs TIFS 65-90 % vs next-line
-lower still; speedups ordered baseline < next-line < TIFS < PIF <=
-perfect, with PIF close to the perfect L1-I.
+What the test asserts, on every workload:
+
+* coverage: PIF covers at least as much as TIFS and next-line
+  (``pif_wins_everywhere``), and more than 75 % of baseline misses;
+* speedup: PIF speeds up over no prefetching, is within 0.04 of TIFS
+  or above it, and the perfect L1-I is within 0.03 of PIF or above it.
+
+It asserts no order between TIFS and next-line: at full scale TIFS
+covers *less* than next-line on both DSS workloads (78.3 % vs 80.7 % on
+dss-qry2, 59.6 % vs 76.9 % on dss-qry17, seed 42).
 """
 
 from conftest import emit

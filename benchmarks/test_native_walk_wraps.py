@@ -1,4 +1,4 @@
-"""Native PIF lane walk vs the hook walker once the real history wraps.
+"""Native PIF walks vs the hook walkers once the real history wraps.
 
 ``tests/sim/test_native.py`` reaches history overwrites only through a
 64-entry history on small synthetic traces, and the fast suite's
@@ -6,9 +6,11 @@ traces are too short to fill the paper's 32K-entry history.  Here the
 checked-in SAB ablation (six PIF lanes, seed 42) runs on web-apache at
 800k instructions, where the main channel records more spatial regions
 than its history holds, so SAB pointers into overwritten entries are
-live.  The sweep runs twice — through the native walk and with the
-loader returning None, which sends PIF lanes to the hook-driven
-walker — and every point must record equal metrics.
+live.  The timing model is on, so every point also times its engine
+and the no-prefetch baseline.  The sweep runs twice — through the
+native lane and timing walks and with the loader returning None, which
+sends every lane and timing to the hook-driven walkers — and every
+point must record equal metrics, ``uipc`` and ``speedup`` included.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ SPEC = (Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 #: channel against 32,768 history entries (oltp-db2 at this length
 #: records ~20k and does not wrap).
 OVERRIDES = {"workloads": ["web-apache"], "instructions": 800_000,
-             "cores": 1}
+             "cores": 1, "timing": True}
 
 
 def _metrics(out: Path) -> dict:
@@ -46,8 +48,7 @@ def _metrics(out: Path) -> dict:
 def test_native_walk_matches_hook_walker_when_history_wraps(tmp_path,
                                                              monkeypatch):
     if native.load() is None:
-        pytest.skip("native PIF lane walk unavailable (no working C "
-                    "compiler)")
+        pytest.skip("native walk unavailable (no working C compiler)")
     spec = load_spec(SPEC, sweep_overrides=OVERRIDES)
     points = spec.points()
     assert len(points) == 6

@@ -81,10 +81,6 @@ class ProactiveInstructionFetch(Prefetcher):
         self.separate_trap_levels = separate_trap_levels
         self.unbounded_index = unbounded_index
         self._channels: Dict[int, _Channel] = {}
-        #: Set by the native lane walk (:mod:`repro.sim.native`), which
-        #: writes back counters but not history, index or SAB state; a
-        #: later walk of this engine is refused until :meth:`reset`.
-        self.walked_natively = False
         # Reusable per-engine scratch for the access hot path: raw
         # candidates land in _scratch, then are deduplicated into the
         # caller's buffer via _seen.  Both are cleared, never replaced.
@@ -236,7 +232,6 @@ class ProactiveInstructionFetch(Prefetcher):
     def reset(self) -> None:
         super().reset()
         self._channels = {}
-        self.walked_natively = False
         self._scratch = []
         self._seen = set()
 

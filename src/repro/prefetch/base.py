@@ -49,6 +49,11 @@ class Prefetcher(ABC):
     #: Short display name used in result tables.
     name: str = "base"
 
+    #: Set by a native walk (:mod:`repro.sim.native`), which writes the
+    #: counters back but keeps the learned state in C; a later walk of
+    #: this engine is refused until :meth:`reset`.
+    walked_natively: bool = False
+
     def __init__(self) -> None:
         self.stats = PrefetchStats()
 
@@ -79,6 +84,7 @@ class Prefetcher(ABC):
     def reset(self) -> None:
         """Drop learned state and counters (fresh engine)."""
         self.stats = PrefetchStats()
+        self.walked_natively = False
 
 
 class NullPrefetcher(Prefetcher):

@@ -15,37 +15,39 @@ it, so the per-lane results are **bit-identical** to N sequential runs
 
 Two interchangeable kernels drive the lane walk:
 
-* ``"fast"`` (the default) — flat arrays and specialized walkers.  An
-  exact-type PIF engine on the 2-way LRU/FIFO geometry (the paper's
-  L1-I) takes :func:`_walk_lane_native_pif`: one call into a C99 lane
-  walk (``_pifwalk.c``, built on first use by :mod:`repro.sim.native`)
-  over the bundle's access columns and the shared
-  :mod:`~repro.sim.trainplan` schedule, which replaces running the
-  compactors per lane.  Every other lane iterates the trace columns
-  decoded to plain Python lists once per bundle (cached in the
-  bundle's derived-value cache, so lane shards re-walking one trace
-  share the decode): on the 2-way geometry
+* ``"fast"`` (the default) — native and flat-array walkers.  An
+  exact-type engine of :data:`_NATIVE_ENGINES` (none, next-line,
+  stride, discontinuity, PIF) on the 2-way LRU/FIFO geometry (the
+  paper's L1-I) takes :func:`_walk_lane_native`: one call into a C99
+  walk (``_walk.c``, built on first use by :mod:`repro.sim.native`)
+  over the bundle's access columns, PIF's train side replaying the
+  shared :mod:`~repro.sim.trainplan` schedule instead of running the
+  compactors per lane.  The same table and library serve the timing
+  model (:func:`repro.sim.timing.run_timing_simulation`).  Every other
+  lane iterates the trace columns decoded to plain Python lists once
+  per bundle (cached in the bundle's derived-value cache, so lane
+  shards re-walking one trace share the decode): on the 2-way geometry
   :func:`_walk_lane_inline2` inlines the cache probe/fill/prefetch
   directly over the cache's slot arrays with every counter in a local
-  int, and next-line, stride and discontinuity get walkers with the
-  engine fused in; every other geometry gets :func:`_walk_lane_generic`
-  over the allocation-free ``access_fast`` (an int result code —
-  ``MISS``/``HIT``/``HIT_PREFETCHED`` — instead of an ``AccessResult``
-  object).  Prefetchers are driven through the buffer-reuse hook
+  int; every other geometry gets :func:`_walk_lane_generic` over the
+  allocation-free ``access_fast`` (an int result code — ``MISS``/``HIT``/
+  ``HIT_PREFETCHED`` — instead of an ``AccessResult`` object).
+  Prefetchers are driven through the buffer-reuse hook
   ``on_demand_access_into`` with a per-lane scratch list, so the
-  steady-state loop allocates nothing per access.  A PIF lane the
-  native walk declines (no C compiler, an engine walked before, an
-  input failing the native walk's checks) takes the hook-driven
-  :func:`_walk_lane_inline2` with the same results.
+  steady-state loop allocates nothing per access.  A lane the native
+  walk declines (no C compiler, an engine walked before, an input
+  failing the native walk's checks) and every subclass and TIFS lane
+  take the hook-driven walkers with the same results.
 * ``"reference"`` — the original object-model walk over
   :class:`~repro.cache.reference.ReferenceInstructionCache` with
   ``access()``/``on_demand_access()``, kept as the differentially
   tested semantics oracle.
 
 Both kernels are locked bit-identical for every prefetcher × replacement
-policy by ``tests/sim/test_engine.py`` (PIF lanes with the native walk
-and without it).  Only callers that pass ``kernel="reference"`` — the
-differential tests — take the oracle.
+policy by ``tests/sim/test_engine.py`` (native lanes with the library
+and without it) and by the Hypothesis differential in
+``tests/sim/test_native.py``.  Only callers that pass
+``kernel="reference"`` — the differential tests — take the oracle.
 
 The no-prefetch baseline depends only on the access stream and the
 cache configuration, so it does not ride the lane walk at all: each
@@ -75,7 +77,7 @@ from ..common.addressing import block_bits_for
 from ..common.config import CacheConfig
 from ..common.profiling import STAGE_BASELINE, STAGE_LANE_WALK, stage
 from ..core.pif import ProactiveInstructionFetch
-from ..prefetch.base import Prefetcher, demand_access_hook
+from ..prefetch.base import NullPrefetcher, Prefetcher, demand_access_hook
 from ..prefetch.discontinuity import DiscontinuityPrefetcher
 from ..prefetch.nextline import NextLinePrefetcher
 from ..prefetch.stride import StridePrefetcher
@@ -265,355 +267,26 @@ def _walk_lane_inline2(lane: _Lane, blocks, pcs, trap_levels, wrong_paths,
     return retire_cursor
 
 
-# reprolint: hot
-def _walk_lane_inline2_nextline(lane: _Lane, blocks, pcs, trap_levels,
-                                wrong_paths, retire_pcs, retire_traps,
-                                retire_cursor: int, measuring: bool) -> int:
-    """:func:`_walk_lane_inline2` with the next-line engine fused in.
-
-    The three classic fetch-side baselines (next-line, stride,
-    discontinuity) have per-access bodies of a few lines and no retire
-    hook, so the walk inlines them next to the cache operations instead
-    of paying a Python call per access; their learned state lives in
-    locals for the slice and is written back at the end.  Semantics are
-    exactly :meth:`NextLinePrefetcher.on_demand_access_into`.
-    """
-    cache = lane.cache
-    tags = cache._tags
-    flags = cache._flags
-    mru = cache._mru
-    mru_on_access = cache._mru_on_access
-    n_sets = cache._n_sets
-    prefetcher = lane.prefetcher
-    degree = prefetcher.degree
-    miss_only = prefetcher._miss_only
-    last_triggered = prefetcher._last_triggered
-    per_level = lane.per_level_remaining
-    demand_accesses = demand_hits = demand_misses = useful = 0
-    requests = fills = drops = evictions = evicted_unused = 0
-    remaining = issued = triggers = 0
-    for block, trap_level, wrong_path in zip(blocks, trap_levels,
-                                             wrong_paths):
-        demand_accesses += 1
-        index = block % n_sets
-        slot = index + index
-        if tags[slot] != block:
-            if tags[slot + 1] == block:
-                slot += 1
-            else:
-                slot = -1
-        if slot >= 0:
-            hit = True
-            demand_hits += 1
-            if mru_on_access:
-                mru[index] = slot & 1
-            state = flags[slot]
-            if state == 1:
-                flags[slot] = 3
-                useful += 1
-            else:
-                flags[slot] = state | 2
-        else:
-            hit = False
-            demand_misses += 1
-            slot = index + index
-            if tags[slot] is not None:
-                if tags[slot + 1] is not None:
-                    slot += 1 - mru[index]
-                    evictions += 1
-                    if flags[slot] == 1:
-                        evicted_unused += 1
-                else:
-                    slot += 1
-            tags[slot] = block
-            flags[slot] = 0
-            mru[index] = slot & 1
-            if measuring and not wrong_path:
-                remaining += 1
-                per_level[trap_level] = per_level.get(trap_level, 0) + 1
-        if not (hit and miss_only) and block != last_triggered:
-            last_triggered = block
-            triggers += 1
-            issued += degree
-            for candidate in range(block + 1, block + degree + 1):
-                requests += 1
-                cindex = candidate % n_sets
-                cslot = cindex + cindex
-                if tags[cslot] == candidate or tags[cslot + 1] == candidate:
-                    drops += 1
-                    continue
-                if tags[cslot] is not None:
-                    if tags[cslot + 1] is not None:
-                        cslot += 1 - mru[cindex]
-                        evictions += 1
-                        if flags[cslot] == 1:
-                            evicted_unused += 1
-                    else:
-                        cslot += 1
-                tags[cslot] = candidate
-                flags[cslot] = 1
-                mru[cindex] = cslot & 1
-                fills += 1
-        if not wrong_path:
-            retire_cursor += 1
-    prefetcher._last_triggered = last_triggered
-    pf_stats = prefetcher.stats
-    pf_stats.triggers += triggers
-    pf_stats.issued += issued
-    stats = cache.stats
-    stats.demand_accesses += demand_accesses
-    stats.demand_hits += demand_hits
-    stats.demand_misses += demand_misses
-    stats.useful_prefetches += useful
-    stats.prefetch_requests += requests
-    stats.prefetch_fills += fills
-    stats.prefetch_drops_present += drops
-    stats.evictions += evictions
-    stats.evicted_unused_prefetches += evicted_unused
-    lane.remaining_misses += remaining
-    lane.prefetches_issued += issued
-    return retire_cursor
-
-
-# reprolint: hot
-def _walk_lane_inline2_stride(lane: _Lane, blocks, pcs, trap_levels,
-                              wrong_paths, retire_pcs, retire_traps,
-                              retire_cursor: int, measuring: bool) -> int:
-    """:func:`_walk_lane_inline2` with the stride engine fused in
-    (semantics of :meth:`StridePrefetcher.on_demand_access_into`)."""
-    cache = lane.cache
-    tags = cache._tags
-    flags = cache._flags
-    mru = cache._mru
-    mru_on_access = cache._mru_on_access
-    n_sets = cache._n_sets
-    prefetcher = lane.prefetcher
-    degree = prefetcher.degree
-    last_block = prefetcher._last_block
-    last_stride = prefetcher._last_stride
-    confirmed = prefetcher._confirmed
-    per_level = lane.per_level_remaining
-    demand_accesses = demand_hits = demand_misses = useful = 0
-    requests = fills = drops = evictions = evicted_unused = 0
-    remaining = issued = triggers = 0
-    for block, trap_level, wrong_path in zip(blocks, trap_levels,
-                                             wrong_paths):
-        demand_accesses += 1
-        index = block % n_sets
-        slot = index + index
-        if tags[slot] != block:
-            if tags[slot + 1] == block:
-                slot += 1
-            else:
-                slot = -1
-        if slot >= 0:
-            demand_hits += 1
-            if mru_on_access:
-                mru[index] = slot & 1
-            state = flags[slot]
-            if state == 1:
-                flags[slot] = 3
-                useful += 1
-            else:
-                flags[slot] = state | 2
-        else:
-            demand_misses += 1
-            slot = index + index
-            if tags[slot] is not None:
-                if tags[slot + 1] is not None:
-                    slot += 1 - mru[index]
-                    evictions += 1
-                    if flags[slot] == 1:
-                        evicted_unused += 1
-                else:
-                    slot += 1
-            tags[slot] = block
-            flags[slot] = 0
-            mru[index] = slot & 1
-            if measuring and not wrong_path:
-                remaining += 1
-                per_level[trap_level] = per_level.get(trap_level, 0) + 1
-        if block != last_block:
-            if last_block is not None:
-                stride = block - last_block
-                if stride == last_stride and stride != 0:
-                    confirmed = True
-                elif last_stride is not None:
-                    confirmed = False
-                last_stride = stride
-                if confirmed:
-                    triggers += 1
-                    issued += degree
-                    for step in range(1, degree + 1):
-                        candidate = block + stride * step
-                        requests += 1
-                        cindex = candidate % n_sets
-                        cslot = cindex + cindex
-                        if (tags[cslot] == candidate
-                                or tags[cslot + 1] == candidate):
-                            drops += 1
-                            continue
-                        if tags[cslot] is not None:
-                            if tags[cslot + 1] is not None:
-                                cslot += 1 - mru[cindex]
-                                evictions += 1
-                                if flags[cslot] == 1:
-                                    evicted_unused += 1
-                            else:
-                                cslot += 1
-                        tags[cslot] = candidate
-                        flags[cslot] = 1
-                        mru[cindex] = cslot & 1
-                        fills += 1
-            last_block = block
-        if not wrong_path:
-            retire_cursor += 1
-    prefetcher._last_block = last_block
-    prefetcher._last_stride = last_stride
-    prefetcher._confirmed = confirmed
-    pf_stats = prefetcher.stats
-    pf_stats.triggers += triggers
-    pf_stats.issued += issued
-    stats = cache.stats
-    stats.demand_accesses += demand_accesses
-    stats.demand_hits += demand_hits
-    stats.demand_misses += demand_misses
-    stats.useful_prefetches += useful
-    stats.prefetch_requests += requests
-    stats.prefetch_fills += fills
-    stats.prefetch_drops_present += drops
-    stats.evictions += evictions
-    stats.evicted_unused_prefetches += evicted_unused
-    lane.remaining_misses += remaining
-    lane.prefetches_issued += issued
-    return retire_cursor
-
-
-# reprolint: hot
-def _walk_lane_inline2_discontinuity(lane: _Lane, blocks, pcs, trap_levels,
-                                     wrong_paths, retire_pcs, retire_traps,
-                                     retire_cursor: int,
-                                     measuring: bool) -> int:
-    """:func:`_walk_lane_inline2` with the discontinuity engine fused in
-    (semantics of :meth:`DiscontinuityPrefetcher.on_demand_access_into`)."""
-    cache = lane.cache
-    tags = cache._tags
-    flags = cache._flags
-    mru = cache._mru
-    mru_on_access = cache._mru_on_access
-    n_sets = cache._n_sets
-    prefetcher = lane.prefetcher
-    nl_degree = prefetcher.next_line_degree
-    table_get = prefetcher._table.get
-    table_put = prefetcher._table.put
-    previous = prefetcher._previous_block
-    out: List[int] = []
-    per_level = lane.per_level_remaining
-    demand_accesses = demand_hits = demand_misses = useful = 0
-    requests = fills = drops = evictions = evicted_unused = 0
-    remaining = issued = triggers = 0
-    for block, trap_level, wrong_path in zip(blocks, trap_levels,
-                                             wrong_paths):
-        demand_accesses += 1
-        index = block % n_sets
-        slot = index + index
-        if tags[slot] != block:
-            if tags[slot + 1] == block:
-                slot += 1
-            else:
-                slot = -1
-        if slot >= 0:
-            hit = True
-            demand_hits += 1
-            if mru_on_access:
-                mru[index] = slot & 1
-            state = flags[slot]
-            if state == 1:
-                flags[slot] = 3
-                useful += 1
-            else:
-                flags[slot] = state | 2
-        else:
-            hit = False
-            demand_misses += 1
-            slot = index + index
-            if tags[slot] is not None:
-                if tags[slot + 1] is not None:
-                    slot += 1 - mru[index]
-                    evictions += 1
-                    if flags[slot] == 1:
-                        evicted_unused += 1
-                else:
-                    slot += 1
-            tags[slot] = block
-            flags[slot] = 0
-            mru[index] = slot & 1
-            if measuring and not wrong_path:
-                remaining += 1
-                per_level[trap_level] = per_level.get(trap_level, 0) + 1
-        if previous is not None and previous != block:
-            if not hit and block != previous + 1:
-                table_put(previous, block)
-            target = table_get(block)
-            triggers += 1
-            for candidate in range(block + 1, block + nl_degree + 1):
-                out.append(candidate)
-            if target is not None:
-                out.append(target)
-                out.append(target + 1)
-            issued += len(out)
-            for candidate in out:
-                requests += 1
-                cindex = candidate % n_sets
-                cslot = cindex + cindex
-                if tags[cslot] == candidate or tags[cslot + 1] == candidate:
-                    drops += 1
-                    continue
-                if tags[cslot] is not None:
-                    if tags[cslot + 1] is not None:
-                        cslot += 1 - mru[cindex]
-                        evictions += 1
-                        if flags[cslot] == 1:
-                            evicted_unused += 1
-                    else:
-                        cslot += 1
-                tags[cslot] = candidate
-                flags[cslot] = 1
-                mru[cindex] = cslot & 1
-                fills += 1
-            del out[:]
-        previous = block
-        if not wrong_path:
-            retire_cursor += 1
-    prefetcher._previous_block = previous
-    pf_stats = prefetcher.stats
-    pf_stats.triggers += triggers
-    pf_stats.issued += issued
-    stats = cache.stats
-    stats.demand_accesses += demand_accesses
-    stats.demand_hits += demand_hits
-    stats.demand_misses += demand_misses
-    stats.useful_prefetches += useful
-    stats.prefetch_requests += requests
-    stats.prefetch_fills += fills
-    stats.prefetch_drops_present += drops
-    stats.evictions += evictions
-    stats.evicted_unused_prefetches += evicted_unused
-    lane.remaining_misses += remaining
-    lane.prefetches_issued += issued
-    return retire_cursor
-
-
-#: Fields of the native lane walk's ``out_lane`` array, in the order of
-#: ``_pifwalk.c``'s ``OUT_*`` enum; the first nine are CacheStats fields.
-_NATIVE_LANE = (
-    "demand_accesses", "demand_hits", "demand_misses", "useful_prefetches",
-    "prefetch_requests", "prefetch_fills", "prefetch_drops_present",
-    "evictions", "evicted_unused_prefetches", "remaining", "issued",
-    "stream_allocations", "retired", "channels", "levels",
+#: Fields of the native walks' ``config`` array, in the order of
+#: ``_walk.c``'s ``CFG_*`` enum; a field an engine does not set is 0.
+_NATIVE_CONFIG = (
+    "engine", "n_sets", "mru_on_access", "warmup", "perfect", "degree",
+    "miss_only", "table_entries", "separate", "preceding", "succeeding",
+    "block_bits", "sab_count", "window", "history_main", "history_handler",
+    "index_sets_main", "index_sets_handler", "index_ways",
 )
 
-#: Fields of one ``out_channels`` row (``_pifwalk.c``'s ``CH_*`` enum).
+#: Fields of the native walks' ``out_lane`` array, in the order of
+#: ``_walk.c``'s ``OUT_*`` enum; the first nine are CacheStats fields.
+_NATIVE_OUT = (
+    "demand_accesses", "demand_hits", "demand_misses", "useful_prefetches",
+    "prefetch_requests", "prefetch_fills", "prefetch_drops_present",
+    "evictions", "evicted_unused_prefetches", "remaining", "triggers",
+    "issued", "stream_allocations", "retired", "channels", "levels",
+    "fetch_misses", "late_hits",
+)
+
+#: Fields of one ``out_channels`` row (``_walk.c``'s ``CH_*`` enum).
 _NATIVE_CHANNEL = (
     "key", "regions_recorded", "index_insertions", "stream_allocations",
     "window_advances", "regions_emitted", "passed", "discarded",
@@ -623,13 +296,19 @@ _NATIVE_CHANNEL = (
 #: Channel keys the native walk can hold (trap levels are a uint8).
 _NATIVE_KEYS = 256
 
+#: No block or prefetch candidate of a native walk may exceed this.
+_INT64_MAX = 2 ** 63 - 1
+
+#: The train plan of an engine without a train side.
+_NO_PLAN = PIFTrainPlan(*(np.zeros(0, dtype=dtype) for dtype in PLAN_DTYPES))
+
 
 def _native_access_columns(bundle: TraceBundle):
-    """The access columns as the native walk reads them — (block, pc,
-    trap level, wrong-path flag as uint8) — or None when one fails a
-    check the C side relies on: dtype, C-contiguity, equal lengths, and
-    non-negative blocks and PCs (so C's ``%`` and ``>>`` agree with
-    Python's).  Cached per bundle."""
+    """The access columns as the native walks read them — (block, pc,
+    trap level, wrong-path flag as uint8) — and the largest block, or
+    None when a column fails a check the C side relies on: dtype,
+    C-contiguity, equal lengths, and non-negative blocks and PCs (so C's
+    ``%`` and ``>>`` agree with Python's).  Cached per bundle."""
     derived = bundle.derived_cache()
     if "native_access" not in derived:
         columns = (bundle.access_block, bundle.access_pc,
@@ -642,8 +321,10 @@ def _native_access_columns(bundle: TraceBundle):
             and len({len(column) for column in columns}) == 1
             and not (len(columns[0])
                      and min(columns[0].min(), columns[1].min()) < 0))
+        top = int(columns[0].max()) if usable and len(columns[0]) else 0
         derived["native_access"] = (
-            (*columns[:3], columns[3].view(np.uint8)) if usable else None)
+            ((*columns[:3], columns[3].view(np.uint8)), top)
+            if usable else None)
     return derived["native_access"]
 
 
@@ -668,81 +349,127 @@ def _plan_fits(plan: PIFTrainPlan, retires: int, width: int) -> bool:
                 and not (plan.bits >> width).any())
 
 
-def _walk_lane_native_pif(lane: _Lane, bundle: TraceBundle,
-                          warmup_boundary: int) -> Optional[int]:
-    """One PIF lane's whole walk, warmup and measured slices, in the
-    native lane walk (``_pifwalk.c``, built by :mod:`repro.sim.native`).
+# Per-engine set-up of a native walk: ``(config fields, train plan)``,
+# where ``"engine"`` is ``_walk.c``'s ``ENGINE_*`` value, or None when
+# the engine has learned state (the C walk starts from empty state) or
+# a candidate could leave int64 (``top`` is the trace's largest block).
 
-    Returns the retire records consumed, or None — lane and engine
-    untouched — when the lane must take the hook-driven
-    :func:`_walk_lane_inline2` instead: the library cannot be built or
-    loaded, the engine was walked before (the native walk starts from
-    empty PIF state), or an input fails a check the C side relies on.
+def _null_fields(engine: NullPrefetcher, bundle: TraceBundle, top: int):
+    return {"engine": 0}, _NO_PLAN
 
-    The C walk reproduces the reference walk bit for bit, its train side
-    replaying the shared :class:`~repro.sim.trainplan.PIFTrainPlan`.  It
-    writes back the cache's counters, the lane's miss counts, the
-    engine's prefetch stats, every channel's
-    :class:`~repro.core.pif.PIFChannelStats` and the compactor, index
-    and SAB-file counters — but not the history, index or SAB contents,
-    so the engine is marked ``walked_natively`` and a second walk of it
-    is refused (:func:`refuse_natively_walked`).
-    """
-    engine = lane.prefetcher
+
+def _next_line_fields(engine: NextLinePrefetcher, bundle: TraceBundle,
+                      top: int):
+    if engine._last_triggered != -1 or top + engine.degree > _INT64_MAX:
+        return None
+    return {"engine": 1, "degree": engine.degree,
+            "miss_only": engine._miss_only}, _NO_PLAN
+
+
+def _stride_fields(engine: StridePrefetcher, bundle: TraceBundle,
+                   top: int):
+    if (engine._last_block is not None or engine._last_stride is not None
+            or engine._confirmed or (engine.degree + 1) * top > _INT64_MAX):
+        return None
+    return {"engine": 2, "degree": engine.degree}, _NO_PLAN
+
+
+def _discontinuity_fields(engine: DiscontinuityPrefetcher,
+                          bundle: TraceBundle, top: int):
+    if (engine._previous_block is not None or len(engine._table)
+            or top + max(engine.next_line_degree, 1) > _INT64_MAX):
+        return None
+    return {"engine": 3, "degree": engine.next_line_degree,
+            "table_entries": engine._table.capacity}, _NO_PLAN
+
+
+def _pif_fields(engine: ProactiveInstructionFetch, bundle: TraceBundle,
+                top: int):
     geometry = engine.config.geometry
     width = geometry.preceding + geometry.succeeding
     if engine._channels or width > 62:
-        return None
-    library = native.load()
-    if library is None:
-        return None
-    columns = _native_access_columns(bundle)
-    if columns is None:
         return None
     plan = train_plan_for(bundle, geometry, engine.block_bytes,
                           engine.separate_trap_levels,
                           engine.config.temporal_compactor_entries)
     if not _plan_fits(plan, len(bundle.retire_pc), width):
         return None
-    cache = lane.cache
     ways = engine.config.index_associativity
     main_history, main_index = engine.channel_sizes(0)
     handler_history, handler_index = engine.channel_sizes(1)
-    # _pifwalk.c's CFG_* order.
-    config = np.array([
-        cache._n_sets, cache._mru_on_access, engine.separate_trap_levels,
-        geometry.preceding, geometry.succeeding,
-        block_bits_for(engine.block_bytes), engine.config.sab_count,
-        engine.config.sab_window_regions, warmup_boundary,
-        main_history, handler_history,
-        main_index // ways if main_index else 0,
-        handler_index // ways if handler_index else 0, ways,
-    ], dtype=np.int64)
-    out_lane = np.zeros(len(_NATIVE_LANE), dtype=np.int64)
-    out_levels = np.zeros(2 * _NATIVE_KEYS, dtype=np.int64)
-    out_channels = np.zeros((_NATIVE_KEYS, len(_NATIVE_CHANNEL)),
-                            dtype=np.int64)
-    status = library.pifwalk_lane(
-        len(columns[0]), *columns,
-        len(plan.at), plan.at, plan.key, plan.trigger,
-        plan.survives.view(np.uint8), plan.bits,
-        config, out_lane, out_levels, out_channels)
-    if status != 0:
-        raise MemoryError("native PIF lane walk ran out of memory")
+    return {
+        "engine": 4, "separate": engine.separate_trap_levels,
+        "preceding": geometry.preceding, "succeeding": geometry.succeeding,
+        "block_bits": block_bits_for(engine.block_bytes),
+        "sab_count": engine.config.sab_count,
+        "window": engine.config.sab_window_regions,
+        "history_main": main_history, "history_handler": handler_history,
+        "index_sets_main": main_index // ways if main_index else 0,
+        "index_sets_handler": handler_index // ways if handler_index else 0,
+        "index_ways": ways,
+    }, plan
 
-    counts = dict(zip(_NATIVE_LANE, out_lane.tolist()))
-    stats = cache.stats
-    for name in _NATIVE_LANE[:9]:
-        setattr(stats, name, getattr(stats, name) + counts[name])
-    levels = out_levels[:2 * counts["levels"]].tolist()
-    per_level = lane.per_level_remaining
-    for level, remaining in zip(levels[::2], levels[1::2]):
-        per_level[level] = per_level.get(level, 0) + remaining
-    lane.remaining_misses += counts["remaining"]
-    lane.prefetches_issued += counts["issued"]
-    # A PIF trigger is exactly a demand miss (tagged misses probe the
-    # index; prefetched hits never reach the trigger path).
-    engine.stats.triggers += counts["demand_misses"]
+
+#: The engines the native walks run, by exact type: a subclass may
+#: change behaviour, so it takes the Python walkers (TIFS has no native
+#: engine).  Both :func:`run_multi_prefetch_simulation` and
+#: :func:`repro.sim.timing.run_timing_simulation` choose from this table.
+_NATIVE_ENGINES = {
+    NullPrefetcher: _null_fields,
+    NextLinePrefetcher: _next_line_fields,
+    StridePrefetcher: _stride_fields,
+    DiscontinuityPrefetcher: _discontinuity_fields,
+    ProactiveInstructionFetch: _pif_fields,
+}
+
+
+def _native_inputs(engine: Prefetcher, cache: InstructionCache,
+                   bundle: TraceBundle, warmup_boundary: int,
+                   perfect: bool = False):
+    """``(library, arguments)`` for a native walk of ``engine`` on
+    ``cache``'s geometry over ``bundle`` — the arguments both entry
+    points of ``_walk.c`` start with — or None when the walk must take
+    the Python walkers: an engine outside :data:`_NATIVE_ENGINES` or a
+    cache other than 2-way LRU/FIFO, no library, an engine with learned
+    state, or an input failing a check the C side relies on."""
+    fields_for = _NATIVE_ENGINES.get(type(engine))
+    if fields_for is None or cache._mru is None:
+        return None
+    library = native.load()
+    if library is None:
+        return None
+    access = _native_access_columns(bundle)
+    if access is None:
+        return None
+    columns, top = access
+    setup = fields_for(engine, bundle, top)
+    if setup is None:
+        return None
+    fields, plan = setup
+    fields.update(n_sets=cache._n_sets, mru_on_access=cache._mru_on_access,
+                  warmup=warmup_boundary, perfect=perfect)
+    config = np.array([fields.get(name, 0) for name in _NATIVE_CONFIG],
+                      dtype=np.int64)
+    return library, (len(columns[0]), *columns, len(plan.at), plan.at,
+                     plan.key, plan.trigger, plan.survives.view(np.uint8),
+                     plan.bits, config)
+
+
+def _native_outputs():
+    """Zeroed ``out_lane`` and ``out_channels`` arrays."""
+    return (np.zeros(len(_NATIVE_OUT), dtype=np.int64),
+            np.zeros((_NATIVE_KEYS, len(_NATIVE_CHANNEL)), dtype=np.int64))
+
+
+def _native_counts(engine: Prefetcher, out_lane: np.ndarray,
+                   out_channels: np.ndarray) -> Dict[str, int]:
+    """Write a native walk's engine counters back — ``PrefetchStats``
+    and, for PIF, every channel's
+    :class:`~repro.core.pif.PIFChannelStats` and compactor, index and
+    SAB-file counters — and mark the engine ``walked_natively``, since
+    its learned state stayed in C.  Returns ``out_lane`` by name."""
+    counts = dict(zip(_NATIVE_OUT, out_lane.tolist()))
+    engine.stats.triggers += counts["triggers"]
     engine.stats.issued += counts["issued"]
     engine.stats.stream_allocations += counts["stream_allocations"]
     for row in out_channels[:counts["channels"]].tolist():
@@ -758,41 +485,68 @@ def _walk_lane_native_pif(lane: _Lane, bundle: TraceBundle,
         channel.index.hits = channel_counts["index_hits"]
         channel.index.misses = channel_counts["index_misses"]
         channel.sabs.allocations = channel_counts["sab_allocations"]
-    engine.walked_natively = True
+    if type(engine) is not NullPrefetcher:
+        engine.walked_natively = True
+    return counts
+
+
+def _walk_lane_native(lane: _Lane, bundle: TraceBundle,
+                      warmup_boundary: int) -> Optional[int]:
+    """One lane's whole walk, warmup and measured slices, in the native
+    lane walk (``_walk.c``, built by :mod:`repro.sim.native`).
+
+    Returns the retire records consumed, or None — lane and engine
+    untouched — when the lane must take the hook-driven
+    :func:`_walk_lane_inline2` instead (:func:`_native_inputs`).  The C
+    walk reproduces the reference walk bit for bit; it writes back the
+    cache's counters, the lane's miss counts and the engine's counters
+    (:func:`_native_counts`), and a second walk of a marked engine is
+    refused (:func:`refuse_natively_walked`).
+    """
+    inputs = _native_inputs(lane.prefetcher, lane.cache, bundle,
+                            warmup_boundary)
+    if inputs is None:
+        return None
+    library, arguments = inputs
+    out_lane, out_channels = _native_outputs()
+    out_levels = np.zeros(2 * _NATIVE_KEYS, dtype=np.int64)
+    if library.walk_lane(*arguments, out_lane, out_levels, out_channels):
+        raise MemoryError("native lane walk ran out of memory")
+    counts = _native_counts(lane.prefetcher, out_lane, out_channels)
+    stats = lane.cache.stats
+    for name in _NATIVE_OUT[:9]:
+        setattr(stats, name, getattr(stats, name) + counts[name])
+    levels = out_levels[:2 * counts["levels"]].tolist()
+    per_level = lane.per_level_remaining
+    for level, remaining in zip(levels[::2], levels[1::2]):
+        per_level[level] = per_level.get(level, 0) + remaining
+    lane.remaining_misses += counts["remaining"]
+    lane.prefetches_issued += counts["issued"]
     return counts["retired"]
 
 
 def refuse_natively_walked(prefetchers: Sequence[Prefetcher]) -> None:
-    """Raise when an engine already went through the native PIF walk.
+    """Raise when an engine already went through a native walk.
 
-    That walk leaves its history, index and SAB contents in C, so
-    walking the engine again would silently diverge from the reference.
-    Every caller in the repository builds fresh engines per walk.
+    That walk leaves the engine's learned state in C, so walking the
+    engine again would silently diverge from the reference.  Every
+    caller in the repository builds fresh engines per walk.
     """
     for prefetcher in prefetchers:
-        if getattr(prefetcher, "walked_natively", False):
+        if prefetcher.walked_natively:
             raise RuntimeError(
-                f"engine {prefetcher.name!r} was already walked by the "
-                "native PIF lane walk, which keeps no replayable state; "
-                "build a fresh engine per walk")
-
-#: Engines whose per-access logic is fused into a specialized 2-way
-#: walker (PIF's is the native lane walk, which takes the whole lane).
-#: Exact types only: a subclass may change behaviour, so it falls back
-#: to the hook-driven walker.
-_FUSED_WALKERS = {
-    NextLinePrefetcher: _walk_lane_inline2_nextline,
-    StridePrefetcher: _walk_lane_inline2_stride,
-    DiscontinuityPrefetcher: _walk_lane_inline2_discontinuity,
-    ProactiveInstructionFetch: _walk_lane_native_pif,
-}
+                f"engine {prefetcher.name!r} was already walked by a "
+                "native walk, which keeps no replayable state; build a "
+                "fresh engine per walk")
 
 
 def _select_walker(lane: _Lane):
     """Pick the most specialized fast walker this lane supports."""
     if lane.cache._mru is None:
         return _walk_lane_generic
-    return _FUSED_WALKERS.get(type(lane.prefetcher), _walk_lane_inline2)
+    if type(lane.prefetcher) in _NATIVE_ENGINES:
+        return _walk_lane_native
+    return _walk_lane_inline2
 
 
 # reprolint: hot
@@ -915,7 +669,7 @@ def run_multi_prefetch_simulation(
                 for lane in lanes:
                     walker = _select_walker(lane)
                     retire_cursor = None
-                    if walker is _walk_lane_native_pif:
+                    if walker is _walk_lane_native:
                         retire_cursor = walker(lane, bundle,
                                                warmup_boundary)
                         walker = _walk_lane_inline2  # if it declined

@@ -1,12 +1,16 @@
-"""Build and load the native PIF lane walk (``_pifwalk.c``).
+"""Build and load the native lane and timing walks (``_walk.c``).
 
-The fast kernel walks exact-type PIF lanes on the paper's 2-way cache
-through a plain-C99 lane walk called with :mod:`ctypes`
-(:func:`repro.sim.engine._walk_lane_native_pif`).  This module compiles
+The fast kernel walks exact-type engines on the paper's 2-way cache --
+none, next-line, stride, discontinuity and PIF -- through a plain-C99
+library called with :mod:`ctypes`: one entry point for the lane walk
+(:func:`repro.sim.engine._walk_lane_native`) and one for the timing walk
+(:func:`repro.sim.timing._run_timing_native`).  This module compiles
 it on the first native walk of a process -- never at import -- with the
 interpreter's configured C compiler: ``sysconfig``'s ``CC``, replaced
 by the ``CC`` environment variable when set, as setuptools does.  No
-``-march=native``: one cache directory may serve several CPUs.
+``-march=native``: one cache directory may serve several CPUs.  The
+timing walk returns doubles that must equal the Python loop's, so the
+flags turn floating-point contraction off (no fused multiply-add).
 
 The library lives in the user cache, not the trace store (a fresh
 store must not mean a fresh build)::
@@ -23,9 +27,10 @@ library whose trailer does not verify (truncated, overwritten) is
 deleted and rebuilt.
 
 When no library can be built or loaded, :func:`load` warns once per
-process with a :class:`RuntimeWarning` and returns None, and PIF lanes
-take the hook-driven Python walker: the same results, about 1.9x
-slower than the Python fused walker the native walk replaced.
+process with a :class:`RuntimeWarning` and returns None, and every lane
+and timing walk takes the Python walkers (``_walk_lane_inline2`` and
+``_run_timing_fast``): the same results, at roughly 20-45x the cost per
+access.
 """
 
 from __future__ import annotations
@@ -41,18 +46,20 @@ from typing import List, Optional
 
 from ..trace.store import cache_home
 
-#: The C source of the lane walk (package data).
-SOURCE = Path(__file__).with_name("_pifwalk.c")
+#: The C source of the lane and timing walks (package data).
+SOURCE = Path(__file__).with_name("_walk.c")
 
-#: Compiler flags after the compiler command.
-CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared")
+#: Compiler flags after the compiler command.  ``-ffp-contract=off``
+#: keeps every multiply and add of the timing walk separately rounded,
+#: as in Python.
+CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 
 #: Ends every published library: marker, then the body's SHA-256.
-_TRAILER_MAGIC = b"repro-pifwalk-v1"
+_TRAILER_MAGIC = b"repro-walklib-v1"
 
 
 class NativeBuildError(RuntimeError):
-    """The compiler failed to build the lane walk."""
+    """The compiler failed to build the native walks."""
 
 
 def compiler() -> List[str]:
@@ -123,20 +130,24 @@ def _declare(library):
 
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-    walk = library.pifwalk_lane
-    walk.argtypes = [
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    inputs = [
         ctypes.c_int64, i64, i64, u8, u8,   # accesses: n, block, pc, trap, wrong
         ctypes.c_int64, i64, i64, i64, u8, i64,   # plan: n, at, key, trigger, survives, bits
-        i64, i64, i64, i64,   # config, out_lane, out_levels, out_channels
+        i64,   # config
     ]
-    walk.restype = ctypes.c_int
+    library.walk_lane.argtypes = [
+        *inputs, i64, i64, i64]   # out_lane, out_levels, out_channels
+    library.walk_timing.argtypes = [
+        *inputs, f64, i64, i64, f64]   # constants, out_lane, out_channels, out_timing
+    library.walk_lane.restype = library.walk_timing.restype = ctypes.c_int
     return library
 
 
 @functools.cache
 def load():
-    """This process's native lane walk (a :class:`ctypes.CDLL`), built
-    on first use; None after one :class:`RuntimeWarning` when it cannot
+    """This process's native walks (a :class:`ctypes.CDLL`), built on
+    first use; None after one :class:`RuntimeWarning` when they cannot
     be built or loaded."""
     import ctypes
 
@@ -148,7 +159,7 @@ def load():
             build(path, command)
         return _declare(ctypes.CDLL(str(path)))
     except (OSError, NativeBuildError) as exc:
-        warnings.warn(f"native PIF lane walk unavailable, PIF lanes take "
-                      f"the Python walker: {exc}", RuntimeWarning,
+        warnings.warn(f"native walk unavailable, lanes and timings take "
+                      f"the Python walkers: {exc}", RuntimeWarning,
                       stacklevel=2)
         return None

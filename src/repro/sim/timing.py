@@ -19,22 +19,44 @@ the reproduction calibration — the model charges:
 Fill latency is the L2 hit latency for warm blocks and the memory
 latency for never-before-touched blocks.
 
-Like the lane walk in :mod:`repro.sim.engine`, the fetch loop runs on
-the flat-array kernel by default: it iterates the bundle's raw columns
-(no ``FetchAccess`` objects), probes the cache through ``access_fast``
-result codes, and drives the prefetcher through the buffer-reuse
+Like the lane walk in :mod:`repro.sim.engine`, the fetch loop runs
+natively by default: an exact-type engine of the engine's native table
+(none, next-line, stride, discontinuity, PIF) on the 2-way LRU/FIFO
+L1-I takes the timing entry point of ``_walk.c``
+(:func:`_run_timing_native`), which reproduces
+:func:`_run_timing_fast` bit for bit: it takes the loop's float
+constants from :func:`_loop_constants`, adds in the loop's order and
+returns the three accumulators as doubles.  Every other case — TIFS,
+subclasses, other geometries, no C compiler, an engine walked before,
+inputs failing the native checks — takes :func:`_run_timing_fast`, the
+columnar loop over the bundle's raw columns (no ``FetchAccess``
+objects) that probes the cache through ``access_fast`` result codes
+and drives the prefetcher through the buffer-reuse
 ``on_demand_access_into`` hook with one scratch list.  ``kernel=
 "reference"`` keeps the original object-model loop (over
 :class:`~repro.cache.reference.ReferenceInstructionCache` and the
 list-returning prefetcher API) as the differentially tested oracle —
-``tests/sim/test_timing.py`` locks every ``TimingResult`` field across
-the two.
+``tests/sim/test_timing.py`` and ``tests/sim/test_native.py`` lock
+every ``TimingResult`` field across them, floats exactly.
+
+Known defect, kept on purpose so that every stored ``speedup`` stays
+comparable: a prefetched block evicted from the L1-I before any demand
+keeps its ``in_flight`` entry.  Re-prefetches of it are filtered out as
+"in flight", and its next demand miss pops the long-past ready time, is
+charged no stall and is counted as a late prefetch hit.  On the 12
+competitive-sweep traces of trace seed 94 such misses are 12% (stride)
+to 71% (discontinuity) of the measured fetch misses, 32% for PIF, and
+the stall they escape is 2-7% of the measured cycles.  All three loops
+(reference, Python and native) share it; fixing it moves every
+speedup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..cache.icache import InstructionCache
 from ..cache.reference import ReferenceInstructionCache
@@ -42,7 +64,13 @@ from ..common.config import SystemConfig
 from ..common.profiling import STAGE_TIMING_WALK, stage
 from ..prefetch.base import NullPrefetcher, Prefetcher, demand_access_hook
 from ..trace.bundle import TraceBundle
-from .engine import refuse_natively_walked, resolve_kernel
+from .engine import (
+    _native_counts,
+    _native_inputs,
+    _native_outputs,
+    refuse_natively_walked,
+    resolve_kernel,
+)
 
 
 @dataclass(slots=True)
@@ -83,9 +111,10 @@ def run_timing_simulation(
     ``perfect_cache=True`` models the paper's perfect-latency L1-I
     (every fetch returns at hit latency; all other behaviour unchanged).
     ``kernel`` mirrors :func:`repro.sim.engine.run_multi_prefetch_simulation`:
-    ``"fast"`` (the default, also for None) runs the columnar
-    result-code loop, ``"reference"`` the original object walk; the two
-    produce identical results.
+    ``"fast"`` (the default, also for None) runs the native timing walk,
+    or the columnar result-code loop where that declines, and
+    ``"reference"`` the original object walk; all produce identical
+    results.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
@@ -95,11 +124,66 @@ def run_timing_simulation(
     if not len(bundle.retire_pc):
         raise ValueError("cannot time an empty trace")
     with stage(STAGE_TIMING_WALK):
-        if resolve_kernel(kernel) == "fast":
-            return _run_timing_fast(bundle, engine, cfg, warmup_fraction,
-                                    perfect_cache)
-        return _run_timing_reference(bundle, engine, cfg, warmup_fraction,
+        if resolve_kernel(kernel) == "reference":
+            return _run_timing_reference(bundle, engine, cfg,
+                                         warmup_fraction, perfect_cache)
+        timed = _run_timing_native(bundle, engine, cfg, warmup_fraction,
+                                   perfect_cache)
+        if timed is None:
+            timed = _run_timing_fast(bundle, engine, cfg, warmup_fraction,
                                      perfect_cache)
+        return timed
+
+
+def _loop_constants(bundle: TraceBundle, cfg: SystemConfig
+                    ) -> Tuple[float, float, float, float, float]:
+    """The fetch loop's float constants: (base cycles per retire
+    record, overlap allowance, L2 latency, memory latency, instructions
+    per retire record)."""
+    instructions_per_retire = bundle.instructions / len(bundle.retire_pc)
+    width = cfg.pipeline.retire_width
+    return (instructions_per_retire / width,
+            cfg.pipeline.fetch_queue_entries / width,
+            float(cfg.memory.l2_hit_latency),
+            float(cfg.memory.memory_latency), instructions_per_retire)
+
+
+def _run_timing_native(bundle: TraceBundle, engine: Prefetcher,
+                       cfg: SystemConfig, warmup_fraction: float,
+                       perfect_cache: bool) -> Optional[TimingResult]:
+    """:func:`_run_timing_fast`'s result from the native timing walk, or
+    None — engine untouched — when the walk declines
+    (:func:`repro.sim.engine._native_inputs`; a PIF plan is looked up
+    there, as for the lane walk).  C takes the loop's float constants
+    from :func:`_loop_constants` and adds them in the loop's order, so
+    the doubles are equal; the engine's counters come back as from the
+    lane walk."""
+    inputs = _native_inputs(
+        engine, InstructionCache(cfg.l1i), bundle,
+        int(len(bundle.access_block) * warmup_fraction), perfect_cache)
+    if inputs is None:
+        return None
+    library, arguments = inputs
+    out_lane, out_channels = _native_outputs()
+    out_timing = np.zeros(3, dtype=np.float64)
+    if library.walk_timing(*arguments,
+                           np.array(_loop_constants(bundle, cfg),
+                                    dtype=np.float64),
+                           out_lane, out_channels, out_timing):
+        raise MemoryError("native timing walk ran out of memory")
+    counts = _native_counts(engine, out_lane, out_channels)
+    if counts["retired"] != len(bundle.retire_pc):
+        raise RuntimeError("access/retire alignment broken in timing model")
+    cycles, stall_cycles, instructions = out_timing.tolist()
+    return TimingResult(
+        workload=bundle.workload,
+        prefetcher="perfect" if perfect_cache else engine.name,
+        instructions=int(instructions),
+        cycles=cycles,
+        stall_cycles=stall_cycles,
+        fetch_misses=counts["fetch_misses"],
+        late_prefetch_hits=counts["late_hits"],
+    )
 
 
 # reprolint: hot
@@ -122,13 +206,9 @@ def _run_timing_fast(bundle: TraceBundle, engine: Prefetcher,
     retire_pcs = bundle.retire_pc.tolist()
     retire_traps = bundle.retire_trap.tolist()
 
-    instructions_per_retire = bundle.instructions / len(retire_pcs)
-    width = cfg.pipeline.retire_width
-    overlap = cfg.pipeline.fetch_queue_entries / width
-    l2_latency = float(cfg.memory.l2_hit_latency)
-    memory_latency = float(cfg.memory.memory_latency)
+    (base, overlap, l2_latency, memory_latency,
+     instructions_per_retire) = _loop_constants(bundle, cfg)
     warmup_boundary = int(len(blocks) * warmup_fraction)
-    base = instructions_per_retire / width
 
     now = 0.0
     measured_cycles = 0.0

@@ -24,13 +24,14 @@ records, per retire index, what the training side will do there:
   captured tagged flag) to the history and, when tagged, insert the
   index entry.
 
-The native PIF lane walk (``_pifwalk.c``, driven by
-:func:`repro.sim.engine._walk_lane_native_pif`) replays the plan's five
+The native lane and timing walks (``_walk.c``, driven by
+:func:`repro.sim.engine._walk_lane_native` and
+:func:`repro.sim.timing._run_timing_native`) replay the plan's five
 columns with a cursor, so per retire record the training side costs one
 integer comparison.  Bit-identity with the reference ``on_retire`` path
 is locked by ``tests/sim/test_engine.py`` (PIF rides the standard
-kernel-differential matrix, plus a Hypothesis differential) and
-``tests/sim/test_trainplan.py``.
+kernel-differential matrix), the Hypothesis differential in
+``tests/sim/test_native.py`` and ``tests/sim/test_trainplan.py``.
 
 Plans are memoized in the bundle's :meth:`TraceBundle.derived_cache`
 keyed by the training configuration, so shards and sweep points sharing

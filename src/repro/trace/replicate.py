@@ -55,8 +55,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
@@ -227,6 +225,12 @@ class TraceFetcher:
         other failure — connection errors, non-2xx, absent or garbled
         advertisement headers — is a :class:`_RetryableFetchError`.
         """
+        # Imported on the first fetch, not with the module: trace
+        # generation imports this module in every repro process, and
+        # urllib.request loads http.client and ssl.
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(
             f"{self.base}/v1/dist/traces/{name}",
             headers={"Range": f"bytes={start}-{end}"})

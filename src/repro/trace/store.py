@@ -196,7 +196,7 @@ def ensure_scratch_store(prefix: str = "repro-traces-") -> Optional[Path]:
 
 def ensure_scratch_cache_home(prefix: str = "repro-cache-") -> Optional[Path]:
     """:func:`ensure_scratch_store` for ``XDG_CACHE_HOME``, the user
-    cache root where the native PIF lane walk is built
+    cache root where the native walks are built
     (:mod:`repro.sim.native`)."""
     return _scratch_env("XDG_CACHE_HOME", prefix)
 

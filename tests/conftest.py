@@ -9,8 +9,8 @@ Hermeticity: unless the caller explicitly exported ``REPRO_TRACE_STORE``
 redirected to a throwaway directory for the whole session, so test runs
 never write archives into — or read state from — the user's real
 ``~/.cache/repro/traces``.  Likewise, unless the caller exported
-``XDG_CACHE_HOME``, the user cache root (where the native PIF lane walk
-is built, :mod:`repro.sim.native`) is a throwaway directory, so a test
+``XDG_CACHE_HOME``, the user cache root (where the native walks are
+built, :mod:`repro.sim.native`) is a throwaway directory, so a test
 run writes nothing under the real ``~/.cache``.
 """
 

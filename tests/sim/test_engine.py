@@ -108,11 +108,10 @@ class TestValidation:
 from repro.core.pif import AccessOrderPIF  # noqa: E402
 from repro.sim.engine import resolve_kernel  # noqa: E402
 
-#: Every engine shape the fast kernel specializes or falls back on:
-#: fused walkers (next-line, stride, discontinuity, and pif's native
-#: lane walk), hook-driven inline walker (tifs, none), subclass fallback
-#: (AccessOrderPIF must NOT take the fused path), and both next-line
-#: triggers.
+#: Every engine shape the fast kernel specializes or falls back on: the
+#: native walk (none, both next-line triggers, stride, discontinuity,
+#: pif), the hook-driven inline walker (tifs), and the subclass fallback
+#: (AccessOrderPIF must NOT take the native walk).
 ALL_ENGINES = ("pif", "pif-no-tlsep", "next-line", "next-line-miss",
                "stride", "discontinuity", "tifs", "none")
 
@@ -170,8 +169,7 @@ class TestKernelEquivalence:
         if native_walk == "python":
             monkeypatch.setattr(native, "load", lambda: None)
         elif native.load() is None:
-            pytest.skip("native PIF lane walk unavailable (no working C "
-                        "compiler)")
+            pytest.skip("native walk unavailable (no working C compiler)")
         config = CacheConfig(capacity_bytes=16 * 1024, associativity=2,
                              replacement=replacement)
 
@@ -240,26 +238,31 @@ class TestWalkerSelection:
     def test_fused_and_fallback_selection(self):
         from repro.cache.icache import InstructionCache
         from repro.sim.engine import (
-            _FUSED_WALKERS,
+            _NATIVE_ENGINES,
             _Lane,
             _select_walker,
             _walk_lane_generic,
             _walk_lane_inline2,
+            _walk_lane_native,
         )
 
         def lane_for(prefetcher, config=CACHE):
             return _Lane(prefetcher, InstructionCache(config), None)
 
-        assert _select_walker(lane_for(make_prefetcher("next-line"))) is \
-            _FUSED_WALKERS[type(make_prefetcher("next-line"))]
+        # Exact engine types of the native table take the native walk.
+        for name in ("none", "next-line", "next-line-miss", "stride",
+                     "discontinuity"):
+            assert _select_walker(lane_for(make_prefetcher(name))) is \
+                _walk_lane_native, name
+        assert _select_walker(lane_for(build_engine("pif"))) is \
+            _walk_lane_native
+        # TIFS has no native engine.
         assert _select_walker(lane_for(make_prefetcher("tifs"))) is \
             _walk_lane_inline2
-        assert _select_walker(lane_for(build_engine("pif"))) is \
-            _FUSED_WALKERS[type(build_engine("pif"))]
-        # Subclasses must not inherit a fused walker (AccessOrderPIF
+        # Subclasses must not inherit the native walk (AccessOrderPIF
         # must fall back to the hook-driven walker, not replay the
         # retire-order train plan).
-        assert AccessOrderPIF not in _FUSED_WALKERS
+        assert AccessOrderPIF not in _NATIVE_ENGINES
         assert _select_walker(lane_for(
             AccessOrderPIF(PIFConfig(sab_window_regions=3)))) is \
             _walk_lane_inline2

@@ -1,13 +1,15 @@
-"""Native PIF lane walk: differential lock against the reference kernel
-on paths the trace fixtures never reach, the engine-state contract, and
-the loader (build on first use, fallback, cache key, self-heal,
-concurrent builds)."""
+"""Native lane and timing walks: differential lock against the
+reference kernel on paths the trace fixtures never reach, the
+engine-state contract, and the loader (build on first use, fallback,
+cache key, self-heal, concurrent builds)."""
 
+import itertools
 import os
 import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.addressing import RegionGeometry
-from repro.common.config import CacheConfig, PIFConfig
+from repro.common.config import CacheConfig, PIFConfig, SystemConfig
 from repro.core.pif import ProactiveInstructionFetch
+from repro.prefetch.base import NullPrefetcher
+from repro.prefetch.discontinuity import DiscontinuityPrefetcher
+from repro.prefetch.nextline import NextLinePrefetcher
+from repro.prefetch.stride import StridePrefetcher
 from repro.sim import native
 from repro.sim.engine import run_multi_prefetch_simulation
 from repro.sim.timing import run_timing_simulation
@@ -41,21 +47,21 @@ def fresh_loader():
 def native_library():
     library = native.load()
     if library is None:
-        pytest.skip("native PIF lane walk unavailable (no working C "
-                    "compiler); the hook walker covers PIF lanes")
+        pytest.skip("native walk unavailable (no working C compiler); "
+                    "the hook walkers cover every lane and timing")
     return library
 
 
 def engine_state(engine):
-    """Everything a PIF walk writes back: prefetch stats, and per
-    channel (in creation order) the channel stats plus the compactor,
-    index and SAB-file counters."""
+    """Everything a native walk writes back: prefetch stats, and for PIF
+    per channel (in creation order) the channel stats plus the
+    compactor, index and SAB-file counters."""
     return (engine.stats, [
         (key, channel.stats, channel.spatial.regions_emitted,
          channel.temporal.passed, channel.temporal.discarded,
          channel.index.insertions, channel.index.hits, channel.index.misses,
          channel.sabs.allocations)
-        for key, channel in engine._channels.items()])
+        for key, channel in getattr(engine, "_channels", {}).items()])
 
 
 def assert_walks_identical(ref_results, ref_engines, fast_results,
@@ -69,7 +75,6 @@ def assert_walks_identical(ref_results, ref_engines, fast_results,
         assert ref.baseline_misses == fast.baseline_misses
     for ref, fast in zip(ref_engines, fast_engines):
         assert engine_state(ref) == engine_state(fast)
-        assert ref.channel_stats() == fast.channel_stats()
 
 
 def walk_both(bundle, make_engines, config=CACHE, warmup=0.4):
@@ -86,12 +91,30 @@ def walk_both(bundle, make_engines, config=CACHE, warmup=0.4):
     return fast_engines
 
 
+def time_both(bundle, make_engine, config=CACHE, warmup=0.4,
+              perfect=False):
+    """Timing results and engine counters, reference vs fast kernel:
+    every ``TimingResult`` field equal, floats exactly."""
+    system = replace(SystemConfig(), l1i=config)
+    ref_engine, fast_engine = make_engine(), make_engine()
+    ref = run_timing_simulation(bundle, ref_engine, system, warmup,
+                                perfect_cache=perfect, kernel="reference")
+    fast = run_timing_simulation(bundle, fast_engine, system, warmup,
+                                 perfect_cache=perfect, kernel="fast")
+    assert ref == fast
+    assert engine_state(ref_engine) == engine_state(fast_engine)
+    return fast_engine
+
+
 # ----------------------------------------------------------------------
-# Hypothesis differential: small synthetic traces that wrap a 64-entry
-# history (SAB pointers overwritten), evict from a 2-8-entry index, and
-# cover the unbounded index, merged trap levels, no temporal compaction,
-# region geometries from (0, 0) to 62 bits, and 1 or 8 SABs of 1 or 7
-# regions.
+# Hypothesis differential: every native engine in the lane walk, the
+# timing walk and the timing walk with a perfect L1-I, under LRU and
+# FIFO.  The small synthetic traces drive stride candidates below block
+# 0 and through every set, and fill and evict 1-64-entry discontinuity
+# tables.  For PIF they wrap a 64-entry history (SAB pointers
+# overwritten), evict from a 2-8-entry index, and cover the unbounded
+# index, merged trap levels, no temporal compaction, region geometries
+# from (0, 0) to 62 bits, and 1 or 8 SABs of 1 or 7 regions.
 
 @st.composite
 def synthetic_bundles(draw):
@@ -144,36 +167,55 @@ _indexes = st.sampled_from([(2, 1), (2, 2), (4, 2), (4, 4), (6, 2),
                             (8, 2), (8, 8)])
 
 
-@settings(max_examples=120, deadline=None)
-@given(bundle=synthetic_bundles(), geometry=_geometries, index=_indexes,
-       sab_count=st.sampled_from([1, 8]),
-       window=st.sampled_from([1, 7]),
-       temporal=st.sampled_from([0, 4]),
-       separate=st.booleans(), unbounded=st.booleans(),
+@st.composite
+def engine_makers(draw):
+    """A maker of fresh engines of one drawn type and configuration."""
+    kind = draw(st.sampled_from(["none", "next-line", "stride",
+                                 "discontinuity", "pif"]))
+    if kind == "none":
+        return NullPrefetcher
+    if kind == "next-line":
+        degree = draw(st.integers(1, 8))
+        trigger = draw(st.sampled_from(["access", "miss"]))
+        return lambda: NextLinePrefetcher(degree, trigger)
+    if kind == "stride":
+        degree = draw(st.integers(1, 4))
+        return lambda: StridePrefetcher(degree)
+    if kind == "discontinuity":
+        entries = draw(st.integers(1, 64))
+        next_lines = draw(st.integers(0, 3))
+        return lambda: DiscontinuityPrefetcher(entries, next_lines)
+    index = draw(_indexes)
+    config = PIFConfig(
+        geometry=RegionGeometry(*draw(_geometries)), history_entries=64,
+        index_entries=index[0], index_associativity=index[1],
+        sab_count=draw(st.sampled_from([1, 8])),
+        sab_window_regions=draw(st.sampled_from([1, 7])),
+        temporal_compactor_entries=draw(st.sampled_from([0, 4])))
+    separate, unbounded = draw(st.booleans()), draw(st.booleans())
+    return lambda: ProactiveInstructionFetch(
+        config, separate_trap_levels=separate, unbounded_index=unbounded)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bundle=synthetic_bundles(), make_engine=engine_makers(),
+       mode=st.sampled_from(["lane", "timing", "perfect"]),
        replacement=st.sampled_from(["lru", "fifo"]),
        capacity=st.sampled_from([1024, 2048, 32768]),
        warmup=st.sampled_from([0.0, 0.3]))
-def test_native_matches_reference(native_library, bundle, geometry, index,
-                                  sab_count, window, temporal, separate,
-                                  unbounded, replacement, capacity, warmup):
-    config = PIFConfig(
-        geometry=RegionGeometry(*geometry), history_entries=64,
-        index_entries=index[0], index_associativity=index[1],
-        sab_count=sab_count, sab_window_regions=window,
-        temporal_compactor_entries=temporal)
-
-    def make_engines():
-        return [ProactiveInstructionFetch(
-            config, separate_trap_levels=separate,
-            unbounded_index=unbounded)]
-
+def test_native_matches_reference(native_library, bundle, make_engine, mode,
+                                  replacement, capacity, warmup):
+    config = CacheConfig(capacity_bytes=capacity, associativity=2,
+                         replacement=replacement)
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_TRACE_STORE", "off")
-        fast_engines = walk_both(
-            bundle, make_engines, warmup=warmup,
-            config=CacheConfig(capacity_bytes=capacity, associativity=2,
-                               replacement=replacement))
-    assert fast_engines[0].walked_natively
+        if mode == "lane":
+            engine, = walk_both(bundle, lambda: [make_engine()],
+                                config=config, warmup=warmup)
+        else:
+            engine = time_both(bundle, make_engine, config=config,
+                               warmup=warmup, perfect=mode == "perfect")
+    assert engine.walked_natively == (type(engine) is not NullPrefetcher)
 
 
 # ----------------------------------------------------------------------
@@ -183,40 +225,102 @@ def pif_engines():
     return [ProactiveInstructionFetch(PIFConfig(sab_window_regions=3))]
 
 
+#: Makers of every native engine type that learns state.
+STATEFUL = (lambda: pif_engines()[0], NextLinePrefetcher, StridePrefetcher,
+            DiscontinuityPrefetcher)
+
+
 def test_second_walk_is_refused(native_library, oltp_trace):
-    engine = pif_engines()[0]
-    run_multi_prefetch_simulation(oltp_trace.bundle, [engine],
-                                  cache_config=CACHE)
-    assert engine.walked_natively
-    for kernel in ("fast", "reference"):
-        with pytest.raises(RuntimeError, match="native PIF lane walk"):
+    for make, timing in itertools.product(STATEFUL, (False, True)):
+        engine = make()
+        if timing:
+            run_timing_simulation(oltp_trace.bundle, engine)
+        else:
             run_multi_prefetch_simulation(oltp_trace.bundle, [engine],
-                                          cache_config=CACHE, kernel=kernel)
-    with pytest.raises(RuntimeError, match="native PIF lane walk"):
+                                          cache_config=CACHE)
+        assert engine.walked_natively
+        for kernel in ("fast", "reference"):
+            with pytest.raises(RuntimeError, match="native walk"):
+                run_multi_prefetch_simulation(oltp_trace.bundle, [engine],
+                                              cache_config=CACHE,
+                                              kernel=kernel)
+            with pytest.raises(RuntimeError, match="native walk"):
+                run_timing_simulation(oltp_trace.bundle, engine,
+                                      kernel=kernel)
+        engine.reset()
+        assert not engine.walked_natively
+        run_multi_prefetch_simulation(oltp_trace.bundle, [engine],
+                                      cache_config=CACHE)
+    # No learned state, nothing to refuse.
+    engine = NullPrefetcher()
+    for _ in range(2):
+        run_multi_prefetch_simulation(oltp_trace.bundle, [engine],
+                                      cache_config=CACHE)
         run_timing_simulation(oltp_trace.bundle, engine)
-    engine.reset()
     assert not engine.walked_natively
-    run_multi_prefetch_simulation(oltp_trace.bundle, [engine],
-                                  cache_config=CACHE)
 
 
 def test_walked_engine_continues_on_the_hook_walker(native_library,
                                                     oltp_trace, web_trace):
-    """An engine with state takes the hook walker, which continues from
-    that state exactly as the reference does."""
-    engines = {kernel: pif_engines() for kernel in ("fast", "reference")}
-    for walked in engines.values():
-        run_multi_prefetch_simulation(web_trace.bundle, walked,
-                                      cache_config=CACHE,
-                                      kernel="reference")
-    ref = run_multi_prefetch_simulation(
-        oltp_trace.bundle, engines["reference"], cache_config=CACHE,
-        kernel="reference")
-    fast = run_multi_prefetch_simulation(
-        oltp_trace.bundle, engines["fast"], cache_config=CACHE,
-        kernel="fast")
-    assert not engines["fast"][0].walked_natively
-    assert_walks_identical(ref, engines["reference"], fast, engines["fast"])
+    """An engine with state takes the hook walkers, lane and timing,
+    which continue from that state exactly as the reference does."""
+    system = replace(SystemConfig(), l1i=CACHE)
+    for make in STATEFUL:
+        engines = {kernel: [make()] for kernel in ("fast", "reference")}
+        for walked in engines.values():
+            run_multi_prefetch_simulation(web_trace.bundle, walked,
+                                          cache_config=CACHE,
+                                          kernel="reference")
+        ref = run_multi_prefetch_simulation(
+            oltp_trace.bundle, engines["reference"], cache_config=CACHE,
+            kernel="reference")
+        fast = run_multi_prefetch_simulation(
+            oltp_trace.bundle, engines["fast"], cache_config=CACHE,
+            kernel="fast")
+        assert not engines["fast"][0].walked_natively
+        assert_walks_identical(ref, engines["reference"], fast,
+                               engines["fast"])
+        ref_engine, fast_engine = engines["reference"][0], engines["fast"][0]
+        assert run_timing_simulation(oltp_trace.bundle, ref_engine, system,
+                                     kernel="reference") == \
+            run_timing_simulation(oltp_trace.bundle, fast_engine, system)
+        assert not fast_engine.walked_natively
+        assert engine_state(ref_engine) == engine_state(fast_engine)
+
+
+def _huge_bundle(blocks):
+    """A correct-path-only bundle over ``blocks`` with small PCs."""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    pcs = np.arange(len(blocks), dtype=np.int64) * 4
+    traps = np.zeros(len(blocks), dtype=np.uint8)
+    return TraceBundle.from_columns(
+        workload="synthetic", core=0, seed=0, block_bytes=64,
+        retire_pc=pcs, retire_trap=traps, access_block=blocks,
+        access_pc=pcs, access_trap=traps,
+        access_wrong_path=np.zeros(len(blocks), dtype=np.bool_),
+        instructions=len(blocks))
+
+
+def test_candidates_that_could_leave_int64_take_the_hook_walker(
+        native_library, monkeypatch):
+    """Blocks up to 2**61: stride candidates of degree 3 could reach
+    2**63 and are declined, degree 2 fits.  Blocks up to 2**63 - 3:
+    next-line candidates of degree 3 could pass int64 and are declined,
+    degree 2 fits.  Python ints never overflow, so either way the lanes
+    equal the reference's."""
+    monkeypatch.setenv("REPRO_TRACE_STORE", "off")
+    top = 2 ** 61
+    strided = _huge_bundle([0, top // 2, top, 7, top // 2, 0, top // 2,
+                            top, 3])
+    for degree, walks_natively in ((2, True), (3, False)):
+        engine, = walk_both(strided, lambda: [StridePrefetcher(degree)])
+        assert engine.walked_natively == walks_natively
+    top = 2 ** 63 - 3
+    sequential = _huge_bundle([top - 9, top - 2, top, 5, top - 1, top])
+    for degree, walks_natively in ((2, True), (3, False)):
+        engine, = walk_both(sequential,
+                            lambda: [NextLinePrefetcher(degree)])
+        assert engine.walked_natively == walks_natively
 
 
 def _corrupt(plan: PIFTrainPlan, how: str) -> PIFTrainPlan:
@@ -279,7 +383,7 @@ def test_failing_compiler_warns_once_and_falls_back(fresh_loader,
             assert not engines[0].walked_natively
     warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(warned) == 1
-    assert "native PIF lane walk unavailable" in str(warned[0].message)
+    assert "native walk unavailable" in str(warned[0].message)
     assert not list(tmp_path.glob("repro/native/*"))
 
 
@@ -300,7 +404,7 @@ def test_truncated_library_is_rebuilt(fresh_loader, monkeypatch, tmp_path):
 
 
 def test_cache_key_covers_source_and_compiler(tmp_path):
-    edited = tmp_path / "_pifwalk.c"
+    edited = tmp_path / "_walk.c"
     edited.write_text(native.SOURCE.read_text() + "/* edited */\n")
     path = native.library_path(command=["cc"])
     assert native.library_path(edited, ["cc"]) != path

@@ -104,9 +104,12 @@ class TestOrdering:
 
 
 class TestKernelEquivalence:
-    """The columnar fast fetch loop vs the preserved object-model loop:
-    every TimingResult field must be identical (the floats are computed
-    by the same arithmetic in the same order, so exact equality holds).
+    """The fast timing walk — native where it applies, the columnar
+    Python loop otherwise — vs the preserved object-model loop: every
+    TimingResult field must be identical (the floats are computed by
+    the same arithmetic in the same order, so exact equality holds).
+    Each test runs the fast kernel twice: with the native library
+    loaded and with the loader forced to None.
     """
 
     def mk(self, name):
@@ -118,34 +121,52 @@ class TestKernelEquivalence:
             return None
         return make_prefetcher(name)
 
+    @staticmethod
+    def both_loaders(monkeypatch):
+        """Yield True with the library loaded (when it builds), then
+        False with the loader forced to None."""
+        from repro.sim import native
+
+        if native.load() is not None:
+            yield True
+        with monkeypatch.context() as patch:
+            patch.setattr(native, "load", lambda: None)
+            yield False
+
     @pytest.mark.parametrize("engine_name",
                              ["pif", "next-line", "stride", "discontinuity",
                               "tifs", "none"])
     def test_fast_matches_reference(self, web_trace, test_cache_config,
-                                    engine_name):
+                                    engine_name, monkeypatch):
         from dataclasses import replace
 
         system = replace(SystemConfig(), l1i=test_cache_config)
         reference = run_timing_simulation(
             web_trace.bundle, self.mk(engine_name), system,
             warmup_fraction=0.4, kernel="reference")
-        fast = run_timing_simulation(
-            web_trace.bundle, self.mk(engine_name), system,
-            warmup_fraction=0.4, kernel="fast")
-        assert reference == fast
+        for loaded in self.both_loaders(monkeypatch):
+            engine = self.mk(engine_name)
+            fast = run_timing_simulation(
+                web_trace.bundle, engine, system,
+                warmup_fraction=0.4, kernel="fast")
+            assert reference == fast
+            if engine is not None:
+                assert engine.walked_natively == (
+                    loaded and engine_name != "tifs")
 
     @pytest.mark.parametrize("kernel", ["fast", "reference"])
     def test_perfect_cache_identical_across_kernels(self, web_trace,
                                                     test_cache_config,
-                                                    kernel):
+                                                    kernel, monkeypatch):
         from dataclasses import replace
 
         system = replace(SystemConfig(), l1i=test_cache_config)
-        results = [run_timing_simulation(web_trace.bundle, None, system,
-                                         perfect_cache=True, kernel=k)
-                   for k in ("fast", "reference")]
-        assert results[0] == results[1]
-        assert results[0].stall_cycles == 0.0
+        for _ in self.both_loaders(monkeypatch):
+            results = [run_timing_simulation(web_trace.bundle, None, system,
+                                             perfect_cache=True, kernel=k)
+                       for k in ("fast", "reference")]
+            assert results[0] == results[1]
+            assert results[0].stall_cycles == 0.0
 
     def test_rejects_unknown_kernel(self, web_trace):
         with pytest.raises(ValueError):

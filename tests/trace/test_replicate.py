@@ -1,7 +1,11 @@
 """Trace replication: verified chunked fetch, resume, fallback, export."""
 
 import contextlib
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,19 @@ class TestChunkEnv:
     def test_invalid_values_fall_back(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_FETCH_CHUNK", raw)
         assert chunk_bytes_from_env() == DEFAULT_CHUNK_BYTES
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_http_client(self):
+        """The fetcher imports urllib on its first fetch: every repro
+        process imports this module through trace generation, and only
+        a fleet worker on a cold store ever fetches."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        probe = ("import sys, repro.cli; print(' '.join(sorted(name for "
+                 "name in ('urllib.request', 'http.client', 'ssl') "
+                 "if name in sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=120,
+                                check=True).stdout.split()
+        assert loaded == []
