@@ -141,9 +141,6 @@ class FileContext:
         return [span for span in self.function_spans
                 if span.start <= line <= span.end]
 
-    def in_hot_function(self, line: int) -> bool:
-        return any(span.hot for span in self.enclosing_functions(line))
-
     def finding(self, code: str, node: ast.AST, message: str) -> Finding:
         line = getattr(node, "lineno", 1)
         column = getattr(node, "col_offset", 0)

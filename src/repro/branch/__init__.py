@@ -1,25 +1,1 @@
 """Branch prediction substrate: direction predictors, BTB, RAS."""
-
-from .btb import BranchTargetBuffer, ReturnAddressStack
-from .counters import CounterTable, SaturatingCounter
-from .predictors import (
-    AlwaysTakenPredictor,
-    BimodalPredictor,
-    DirectionPredictor,
-    GSharePredictor,
-    HybridPredictor,
-    make_direction_predictor,
-)
-
-__all__ = [
-    "BranchTargetBuffer",
-    "ReturnAddressStack",
-    "CounterTable",
-    "SaturatingCounter",
-    "AlwaysTakenPredictor",
-    "BimodalPredictor",
-    "DirectionPredictor",
-    "GSharePredictor",
-    "HybridPredictor",
-    "make_direction_predictor",
-]

@@ -5,43 +5,11 @@ from __future__ import annotations
 from typing import List
 
 
-class SaturatingCounter:
-    """An n-bit up/down saturating counter.
-
-    The conventional 2-bit encoding is used by default: 0-1 predict
-    not-taken, 2-3 predict taken; the initial value is *weakly taken*
-    so cold predictors favour fall-through loops being taken, matching
-    common hardware initialization.
-    """
-
-    def __init__(self, bits: int = 2, initial: int = 2) -> None:
-        if bits <= 0:
-            raise ValueError("counter needs at least one bit")
-        self.maximum = (1 << bits) - 1
-        if not 0 <= initial <= self.maximum:
-            raise ValueError(f"initial value {initial} out of range")
-        self.value = initial
-
-    @property
-    def taken(self) -> bool:
-        """Current prediction."""
-        return self.value > self.maximum // 2
-
-    def update(self, outcome: bool) -> None:
-        """Train toward ``outcome``."""
-        if outcome:
-            if self.value < self.maximum:
-                self.value += 1
-        elif self.value > 0:
-            self.value -= 1
-
-
 class CounterTable:
     """A direct-indexed table of 2-bit counters stored as a flat list.
 
-    Storing raw ints (not :class:`SaturatingCounter` objects) keeps the
-    predictor's inner loop allocation-free; the class above remains the
-    readable single-counter reference implementation used in tests.
+    Storing raw ints (not one object per counter) keeps the
+    predictor's inner loop allocation-free.
     """
 
     def __init__(self, entries: int, bits: int = 2, initial: int = 2) -> None:
@@ -72,7 +40,3 @@ class CounterTable:
                 self._values[slot] = value + 1
         elif value > 0:
             self._values[slot] = value - 1
-
-    def raw_value(self, key: int) -> int:
-        """Counter value (exposed for tests)."""
-        return self._values[key & self._mask]

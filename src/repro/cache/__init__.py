@@ -1,33 +1,2 @@
-"""Instruction-cache substrate: set-associative model, MSHRs, line buffer."""
-
-from .icache import AccessResult, HIT, HIT_PREFETCHED, InstructionCache, MISS
-from .line_buffer import LineBuffer
-from .mshr import MSHRFile, OutstandingFill
-from .reference import ReferenceInstructionCache
-from .replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    ReplacementPolicy,
-    make_policy,
-)
-from .stats import CacheStats, CoverageAccounting
-
-__all__ = [
-    "AccessResult",
-    "InstructionCache",
-    "ReferenceInstructionCache",
-    "MISS",
-    "HIT",
-    "HIT_PREFETCHED",
-    "LineBuffer",
-    "MSHRFile",
-    "OutstandingFill",
-    "FIFOPolicy",
-    "LRUPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "make_policy",
-    "CacheStats",
-    "CoverageAccounting",
-]
+"""Instruction-cache substrate: the set-associative L1-I model, its
+reference twin, replacement policies and counters."""

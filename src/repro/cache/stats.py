@@ -6,7 +6,7 @@ hot path and experiments snapshot/derive ratios at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 
@@ -61,41 +61,3 @@ class CacheStats:
             "evictions": float(self.evictions),
             "evicted_unused_prefetches": float(self.evicted_unused_prefetches),
         }
-
-
-@dataclass(slots=True)
-class CoverageAccounting:
-    """Miss-coverage bookkeeping relative to a no-prefetch baseline.
-
-    *Coverage* (Section 5.5) is the fraction of the baseline's demand
-    misses that the prefetcher eliminated.  The trace simulator fills
-    these fields by running baseline and prefetched caches side by side
-    on the identical access stream.
-    """
-
-    baseline_misses: int = 0
-    remaining_misses: int = 0
-    extra_misses: int = 0
-    per_level_baseline: Dict[int, int] = field(default_factory=dict)
-    per_level_remaining: Dict[int, int] = field(default_factory=dict)
-
-    def coverage(self) -> float:
-        """Fraction of baseline misses eliminated.
-
-        Signed, like :meth:`PrefetchSimResult.coverage`: a polluting
-        prefetcher that inflicts more misses than it removes reports a
-        negative value rather than a silently clamped 0.0.
-        """
-        if self.baseline_misses == 0:
-            return 0.0
-        eliminated = self.baseline_misses - self.remaining_misses
-        return eliminated / self.baseline_misses
-
-    def level_coverage(self, trap_level: int) -> float:
-        """Coverage restricted to one trap level (signed, like
-        :meth:`coverage`)."""
-        baseline = self.per_level_baseline.get(trap_level, 0)
-        if baseline == 0:
-            return 0.0
-        remaining = self.per_level_remaining.get(trap_level, 0)
-        return (baseline - remaining) / baseline

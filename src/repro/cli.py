@@ -56,16 +56,12 @@ import sys
 from dataclasses import asdict
 from typing import List, NamedTuple, Optional, Tuple
 
-from .analysis import runner as lint_runner
 from .common.config import CacheConfig, PIFConfig
 from .core.pif import ProactiveInstructionFetch
 from .experiments.parallel import jobs_argument_type, parallel_map
 from .pipeline.tracegen import cached_trace, generate_trace
 from .prefetch import make_prefetcher
 from .sim.engine import run_multi_prefetch_simulation
-from .sim.tracesim import run_prefetch_simulation
-from .trace.serialize import save_bundle
-from .trace.stats import analyze_block_stream
 from .trace.store import TraceKey, TraceStore, generator_version_hash
 from .workloads.spec import WORKLOAD_NAMES
 
@@ -101,6 +97,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Generate and characterize one trace."""
+    from .trace.serialize import save_bundle
+    from .trace.stats import analyze_block_stream
+
     trace = generate_trace(args.workload, instructions=args.instructions,
                            seed=args.seed)
     bundle = trace.bundle
@@ -127,6 +126,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     baseline misses eliminated / of prefetch fills referenced; the miss
     counts cover the post-warmup measurement window only.
     """
+    from .sim.tracesim import run_prefetch_simulation
+
     bundle = cached_trace(args.workload, args.instructions, args.seed).bundle
     engine = _engine(args.engine)
     result = run_prefetch_simulation(bundle, engine,
@@ -639,7 +640,36 @@ def cmd_lint(args: argparse.Namespace) -> int:
     Exit 0 = clean, 1 = non-baselined findings or unused baseline
     entries, 2 = usage error — the same contract CI relies on.
     """
-    return lint_runner.run(args)
+    from .analysis import runner
+
+    return runner.run(args)
+
+
+def _configure_lint(parser: argparse.ArgumentParser) -> None:
+    from .analysis import runner
+
+    runner.configure_parser(parser)
+
+
+class _DeferredParser(argparse.ArgumentParser):
+    """A subcommand parser that can attach its arguments on first use.
+
+    ``repro lint`` takes its flags from the linter itself
+    (:func:`repro.analysis.runner.configure_parser`).  Deferring that
+    call to the subcommand's own parse, which ``repro lint --help``
+    also goes through, keeps the linter out of every other command's
+    process.
+    """
+
+    def __init__(self, *args, configure=None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._configure = configure
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._configure is not None:
+            configure, self._configure = self._configure, None
+            configure(self)
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -647,7 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Proactive Instruction Fetch reproduction toolkit")
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     parser_class=_DeferredParser)
 
     trace = commands.add_parser("trace", help="generate + characterize a trace")
     _add_common(trace)
@@ -884,8 +915,8 @@ def build_parser() -> argparse.ArgumentParser:
     worker.set_defaults(func=cmd_worker)
 
     lint = commands.add_parser(
-        "lint", help="run reprolint, the determinism contract checker")
-    lint_runner.configure_parser(lint)
+        "lint", help="run reprolint, the determinism contract checker",
+        configure=_configure_lint)
     lint.set_defaults(func=cmd_lint)
     return parser
 

@@ -1,52 +1,1 @@
 """Shared primitives: addressing, bit vectors, LRU containers, configs, RNG."""
-
-from .addressing import (
-    DEFAULT_BLOCK_BYTES,
-    INSTRUCTION_BYTES,
-    PAPER_GEOMETRY,
-    RegionGeometry,
-    block_base_pc,
-    block_bits_for,
-    block_of,
-    blocks_spanned,
-)
-from .bitvec import BitVector, empty, full
-from .config import (
-    BranchPredictorConfig,
-    CacheConfig,
-    MemoryConfig,
-    PAPER_PIF,
-    PAPER_SYSTEM,
-    PIFConfig,
-    PipelineConfig,
-    SystemConfig,
-)
-from .lru import LRUCache, LRUSet
-from .rng import child_seed, make_rng, weighted_choice
-
-__all__ = [
-    "DEFAULT_BLOCK_BYTES",
-    "INSTRUCTION_BYTES",
-    "PAPER_GEOMETRY",
-    "RegionGeometry",
-    "block_base_pc",
-    "block_bits_for",
-    "block_of",
-    "blocks_spanned",
-    "BitVector",
-    "empty",
-    "full",
-    "PAPER_PIF",
-    "PAPER_SYSTEM",
-    "BranchPredictorConfig",
-    "CacheConfig",
-    "MemoryConfig",
-    "PIFConfig",
-    "PipelineConfig",
-    "SystemConfig",
-    "LRUCache",
-    "LRUSet",
-    "child_seed",
-    "make_rng",
-    "weighted_choice",
-]

@@ -38,30 +38,6 @@ def block_bits_for(block_bytes: int) -> int:
     return block_bytes.bit_length() - 1
 
 
-def block_of(pc: int, block_bytes: int = DEFAULT_BLOCK_BYTES) -> int:
-    """Map an instruction PC to its cache-block address."""
-    if pc < 0:
-        raise ValueError(f"PC must be non-negative, got {pc}")
-    return pc >> block_bits_for(block_bytes)
-
-
-def block_base_pc(block: int, block_bytes: int = DEFAULT_BLOCK_BYTES) -> int:
-    """Return the byte address of the first instruction in ``block``."""
-    return block << block_bits_for(block_bytes)
-
-
-def blocks_spanned(start_pc: int, n_instructions: int,
-                   block_bytes: int = DEFAULT_BLOCK_BYTES) -> int:
-    """Number of distinct blocks touched by ``n_instructions`` starting at
-    ``start_pc`` with no control transfers.
-    """
-    if n_instructions <= 0:
-        return 0
-    first = block_of(start_pc, block_bytes)
-    last = block_of(start_pc + (n_instructions - 1) * INSTRUCTION_BYTES, block_bytes)
-    return last - first + 1
-
-
 @dataclass(frozen=True, slots=True)
 class RegionGeometry:
     """Shape of a spatial region around its trigger block.

@@ -130,13 +130,3 @@ class BitVector:
 
     def __repr__(self) -> str:
         return f"BitVector({str(self)!r})"
-
-
-def empty(width: int) -> BitVector:
-    """An all-zero vector of the given width."""
-    return BitVector(width, 0)
-
-
-def full(width: int) -> BitVector:
-    """An all-ones vector of the given width."""
-    return BitVector(width, (1 << width) - 1)

@@ -22,7 +22,7 @@ K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
 
 #: Internal miss sentinel so ``get`` costs one dict probe even for
-#: caches that legitimately store ``None`` values (:class:`LRUSet`).
+#: caches that legitimately store ``None`` values.
 _MISSING = object()
 
 
@@ -112,40 +112,3 @@ class LRUCache(Generic[K, V]):
     def clear(self) -> None:
         """Drop every entry."""
         self._entries.clear()
-
-
-class LRUSet(Generic[K]):
-    """A bounded set with LRU eviction; the value-free sibling of
-    :class:`LRUCache`.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self._cache: LRUCache[K, None] = LRUCache(capacity)
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of members."""
-        return self._cache.capacity
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._cache
-
-    def add(self, key: K) -> Optional[K]:
-        """Insert ``key`` at MRU; return the evicted member, if any."""
-        evicted = self._cache.put(key, None)
-        return evicted[0] if evicted else None
-
-    def touch(self, key: K) -> bool:
-        """Promote ``key`` to MRU; return False if absent."""
-        return self._cache.promote(key)
-
-    def discard(self, key: K) -> bool:
-        """Remove ``key`` if present."""
-        return self._cache.discard(key)
-
-    def members_mru_first(self) -> Iterator[K]:
-        """Iterate members from most- to least-recently used."""
-        return (key for key, _ in self._cache.items_mru_first())

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable
 
 
 def child_seed(root_seed: int, *names: str) -> int:
@@ -33,25 +32,3 @@ def child_seed(root_seed: int, *names: str) -> int:
 def make_rng(root_seed: int, *names: str) -> random.Random:
     """A ``random.Random`` seeded for the component addressed by ``names``."""
     return random.Random(child_seed(root_seed, *names))
-
-
-def weighted_choice(rng: random.Random, weights: Iterable[float]) -> int:
-    """Pick an index with probability proportional to ``weights``.
-
-    Exists because ``random.choices`` allocates a list per call; the
-    workload generator calls this in its inner loop.
-    """
-    total = 0.0
-    cumulative = []
-    for weight in weights:
-        if weight < 0:
-            raise ValueError("weights must be non-negative")
-        total += weight
-        cumulative.append(total)
-    if total <= 0:
-        raise ValueError("at least one weight must be positive")
-    point = rng.random() * total
-    for index, bound in enumerate(cumulative):
-        if point < bound:
-            return index
-    return len(cumulative) - 1

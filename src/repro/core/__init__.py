@@ -1,20 +1,1 @@
 """The paper's contribution: Proactive Instruction Fetch and its parts."""
-
-from .history import HistoryBuffer, IndexTable
-from .pif import PIFChannelStats, ProactiveInstructionFetch
-from .sab import SABFile, StreamAddressBuffer
-from .spatial import SpatialCompactor, SpatialRegionRecord, compact_stream
-from .temporal import TemporalCompactor
-
-__all__ = [
-    "HistoryBuffer",
-    "IndexTable",
-    "PIFChannelStats",
-    "ProactiveInstructionFetch",
-    "SABFile",
-    "StreamAddressBuffer",
-    "SpatialCompactor",
-    "SpatialRegionRecord",
-    "compact_stream",
-    "TemporalCompactor",
-]

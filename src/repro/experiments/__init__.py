@@ -1,58 +1,1 @@
 """Experiment harness: one module per paper figure, plus ablations."""
-
-from .ablations import (
-    AblationResult,
-    run_all_ablations,
-    run_index_ablation,
-    run_replacement_ablation,
-    run_sab_ablation,
-    run_source_ablation,
-    run_temporal_ablation,
-)
-from .common import (
-    EXPERIMENT_CACHE,
-    EXPERIMENT_PIF,
-    ExperimentConfig,
-    QUICK_CONFIG,
-    traces_for,
-)
-from .fig2 import Fig2Result, run_fig2
-from .fig3 import Fig3Result, run_fig3
-from .fig7 import Fig7Result, run_fig7
-from .fig8 import Fig8Result, geometry_for_size, run_fig8
-from .fig9 import Fig9Result, run_fig9
-from .fig10 import Fig10Result, run_fig10
-from .parallel import ExperimentPool, parallel_map, run_workload_grid
-from .runner import run_all
-
-__all__ = [
-    "AblationResult",
-    "run_all_ablations",
-    "run_index_ablation",
-    "run_replacement_ablation",
-    "run_sab_ablation",
-    "run_source_ablation",
-    "run_temporal_ablation",
-    "EXPERIMENT_CACHE",
-    "EXPERIMENT_PIF",
-    "QUICK_CONFIG",
-    "ExperimentConfig",
-    "traces_for",
-    "Fig2Result",
-    "run_fig2",
-    "Fig3Result",
-    "run_fig3",
-    "Fig7Result",
-    "run_fig7",
-    "Fig8Result",
-    "geometry_for_size",
-    "run_fig8",
-    "Fig9Result",
-    "run_fig9",
-    "Fig10Result",
-    "run_fig10",
-    "ExperimentPool",
-    "parallel_map",
-    "run_workload_grid",
-    "run_all",
-]

@@ -12,8 +12,9 @@ Each ablation varies exactly one design decision DESIGN.md calls out:
 
 Every sweep batches all of its settings into one single-pass
 multi-prefetcher walk per trace (see :mod:`repro.sim.engine`), and every
-ablation accepts an :class:`~repro.experiments.parallel.ExperimentPool`
-to fan its per-workload slices out across processes.
+ablation takes ``jobs`` to fan its per-workload slices out over the
+persistent worker pool
+(:func:`~repro.experiments.parallel.run_workload_grid`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from ..core.pif import AccessOrderPIF, ProactiveInstructionFetch
 from ..prefetch.base import Prefetcher
 from ..sim.engine import run_multi_prefetch_simulation
 from .common import ExperimentConfig, format_table, mean, percent, traces_for
-from .parallel import ExperimentPool, run_workload_grid
+from .parallel import run_workload_grid
 
 #: Temporal compactor sizes swept.
 TEMPORAL_SIZES: Tuple[int, ...] = (0, 1, 2, 4, 8)
@@ -140,58 +141,53 @@ def _replacement_workload(config: ExperimentConfig, workload: str
 
 
 def _run_ablation(name: str, slice_func, config: ExperimentConfig,
-                  pool: Optional[ExperimentPool] = None) -> AblationResult:
+                  jobs: int = 1) -> AblationResult:
     result = AblationResult(name, config)
-    for workload, row in run_workload_grid(slice_func, config, pool):
+    for workload, row in run_workload_grid(slice_func, config, jobs):
         result.coverage[workload] = row
     return result
 
 
 def run_temporal_ablation(config: ExperimentConfig,
-                          pool: Optional[ExperimentPool] = None
-                          ) -> AblationResult:
+                          jobs: int = 1) -> AblationResult:
     """Temporal compactor size sweep (0 = spatial-only compaction)."""
     return _run_ablation("temporal compactor entries", _temporal_workload,
-                         config, pool)
+                         config, jobs)
 
 
 def run_sab_ablation(config: ExperimentConfig,
-                     pool: Optional[ExperimentPool] = None) -> AblationResult:
+                     jobs: int = 1) -> AblationResult:
     """SAB count x window grid (reproduces the footnote 2 tuning)."""
-    return _run_ablation("SAB count x window", _sab_workload, config, pool)
+    return _run_ablation("SAB count x window", _sab_workload, config, jobs)
 
 
 def run_index_ablation(config: ExperimentConfig,
-                       pool: Optional[ExperimentPool] = None
-                       ) -> AblationResult:
+                       jobs: int = 1) -> AblationResult:
     """Bounded index capacity sweep plus the unbounded reference."""
-    return _run_ablation("index table entries", _index_workload, config, pool)
+    return _run_ablation("index table entries", _index_workload, config, jobs)
 
 
 def run_source_ablation(config: ExperimentConfig,
-                        pool: Optional[ExperimentPool] = None
-                        ) -> AblationResult:
+                        jobs: int = 1) -> AblationResult:
     """Retire-order vs fetch-order input to identical PIF hardware."""
     return _run_ablation("record source (retire vs fetch order)",
-                         _source_workload, config, pool)
+                         _source_workload, config, jobs)
 
 
 def run_replacement_ablation(config: ExperimentConfig,
-                             pool: Optional[ExperimentPool] = None
-                             ) -> AblationResult:
+                             jobs: int = 1) -> AblationResult:
     """PIF coverage under different L1 replacement policies."""
     return _run_ablation("L1 replacement policy", _replacement_workload,
-                         config, pool)
+                         config, jobs)
 
 
 def run_all_ablations(config: ExperimentConfig,
-                      pool: Optional[ExperimentPool] = None
-                      ) -> List[AblationResult]:
+                      jobs: int = 1) -> List[AblationResult]:
     """Every ablation, in DESIGN.md order."""
     return [
-        run_temporal_ablation(config, pool),
-        run_sab_ablation(config, pool),
-        run_index_ablation(config, pool),
-        run_source_ablation(config, pool),
-        run_replacement_ablation(config, pool),
+        run_temporal_ablation(config, jobs),
+        run_sab_ablation(config, jobs),
+        run_index_ablation(config, jobs),
+        run_source_ablation(config, jobs),
+        run_replacement_ablation(config, jobs),
     ]

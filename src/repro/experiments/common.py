@@ -61,10 +61,11 @@ def traces_for(config: ExperimentConfig, workload: str
     (:func:`repro.pipeline.tracegen.cached_trace`): each
     (workload, instructions, seed, core) tuple is generated once per
     process and shared by every figure and sweep point that replays it.
-    Under the :class:`~repro.experiments.parallel.ExperimentPool`
-    fan-out the pool's worker processes persist across experiments, so
-    the same reuse holds there — a worker regenerates a trace at most
-    once, no matter how many figures it serves.
+    Under ``jobs > 1`` the persistent worker pool
+    (:func:`repro.experiments.parallel.shared_pool`) keeps its processes
+    across experiments, so the same reuse holds there — a worker
+    regenerates a trace at most once, no matter how many figures it
+    serves.
     """
     return [cached_trace(workload, config.instructions, config.seed, core)
             for core in range(config.cores)]

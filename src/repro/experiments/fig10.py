@@ -8,7 +8,7 @@ reaches 65-90 %, and its speedup converges to the perfect cache's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..common.config import SystemConfig
 from ..core.pif import ProactiveInstructionFetch
@@ -17,7 +17,7 @@ from ..prefetch.base import Prefetcher
 from ..sim.engine import run_multi_prefetch_simulation
 from ..sim.timing import speedup_comparison
 from .common import ExperimentConfig, format_table, mean, percent, traces_for
-from .parallel import ExperimentPool, run_workload_grid
+from .parallel import run_workload_grid
 
 #: Engines compared, in the paper's presentation order.
 ENGINES: Tuple[str, ...] = ("next-line", "tifs", "pif")
@@ -104,11 +104,11 @@ def _fig10_workload(config: ExperimentConfig, workload: str) -> Tuple[
 
 
 def run_fig10(config: ExperimentConfig,
-              pool: Optional[ExperimentPool] = None) -> Fig10Result:
+              jobs: int = 1) -> Fig10Result:
     """Run both Figure 10 panels over the configured workloads."""
     result = Fig10Result(config=config)
     for workload, (coverage, speedup) in run_workload_grid(
-            _fig10_workload, config, pool):
+            _fig10_workload, config, jobs):
         result.coverage[workload] = coverage
         result.speedup[workload] = speedup
     return result

@@ -10,7 +10,7 @@ separated).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..sim.coverage import build_view_events, measure_stream_predictability
 from ..trace.records import StreamKind
@@ -21,7 +21,7 @@ from .common import (
     percent,
     traces_for,
 )
-from .parallel import ExperimentPool, run_workload_grid
+from .parallel import run_workload_grid
 
 
 @dataclass(slots=True)
@@ -73,9 +73,9 @@ def _fig2_workload(config: ExperimentConfig, workload: str
 
 
 def run_fig2(config: ExperimentConfig,
-             pool: Optional[ExperimentPool] = None) -> Fig2Result:
+             jobs: int = 1) -> Fig2Result:
     """Run the Figure 2 study over the configured workloads and cores."""
     result = Fig2Result(config=config)
-    for workload, row in run_workload_grid(_fig2_workload, config, pool):
+    for workload, row in run_workload_grid(_fig2_workload, config, jobs):
         result.coverage[workload] = row
     return result

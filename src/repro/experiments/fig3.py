@@ -10,7 +10,7 @@ over-fetches).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..sim.regionstats import (
     DENSITY_BUCKETS,
@@ -20,7 +20,7 @@ from ..sim.regionstats import (
     merge_distributions,
 )
 from .common import ExperimentConfig, format_table, percent, traces_for
-from .parallel import ExperimentPool, run_workload_grid
+from .parallel import run_workload_grid
 
 
 @dataclass(slots=True)
@@ -73,11 +73,11 @@ def _fig3_workload(config: ExperimentConfig, workload: str
 
 
 def run_fig3(config: ExperimentConfig,
-             pool: Optional[ExperimentPool] = None) -> Fig3Result:
+             jobs: int = 1) -> Fig3Result:
     """Run the Figure 3 characterization over the configured workloads."""
     result = Fig3Result(config=config)
     for workload, (density, groups) in run_workload_grid(
-            _fig3_workload, config, pool):
+            _fig3_workload, config, jobs):
         result.density[workload] = density
         result.discontinuity[workload] = groups
     return result

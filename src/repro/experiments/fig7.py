@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..sim.coverage import build_view_events, measure_pif_predictability
 from .common import (
@@ -19,7 +19,7 @@ from .common import (
     normalize_histogram,
     traces_for,
 )
-from .parallel import ExperimentPool, run_workload_grid
+from .parallel import run_workload_grid
 
 
 @dataclass(slots=True)
@@ -29,13 +29,6 @@ class Fig7Result:
     config: ExperimentConfig
     #: {workload: {log2 bin: cumulative weighted fraction}}
     cdf: Dict[str, Dict[int, float]] = field(default_factory=dict)
-
-    def median_bin(self, workload: str) -> int:
-        """The log2 bin where the weighted CDF crosses 50 %."""
-        for bin_, value in sorted(self.cdf[workload].items()):
-            if value >= 0.5:
-                return bin_
-        return max(self.cdf[workload], default=0)
 
     def deep_fraction(self, workload: str, threshold_bin: int = 10) -> float:
         """Weighted fraction of predictions from jumps >= 2^threshold."""
@@ -80,9 +73,9 @@ def _fig7_workload(config: ExperimentConfig, workload: str
 
 
 def run_fig7(config: ExperimentConfig,
-             pool: Optional[ExperimentPool] = None) -> Fig7Result:
+             jobs: int = 1) -> Fig7Result:
     """Run the jump-distance study (region-granularity history)."""
     result = Fig7Result(config=config)
-    for workload, cdf in run_workload_grid(_fig7_workload, config, pool):
+    for workload, cdf in run_workload_grid(_fig7_workload, config, jobs):
         result.cdf[workload] = cdf
     return result

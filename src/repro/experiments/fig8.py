@@ -10,7 +10,7 @@ handler code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..common.addressing import RegionGeometry
 from ..sim.coverage import build_view_events, measure_pif_predictability
@@ -26,7 +26,7 @@ from .common import (
     percent,
     traces_for,
 )
-from .parallel import ExperimentPool, run_workload_grid
+from .parallel import run_workload_grid
 
 #: Region sizes the paper sweeps (total blocks including the trigger).
 REGION_SIZES: Tuple[int, ...] = (1, 2, 4, 6, 8)
@@ -107,11 +107,11 @@ def _fig8_workload(config: ExperimentConfig, workload: str) -> Tuple[
 
 
 def run_fig8(config: ExperimentConfig,
-             pool: Optional[ExperimentPool] = None) -> Fig8Result:
+             jobs: int = 1) -> Fig8Result:
     """Run both Figure 8 panels."""
     result = Fig8Result(config=config)
     for workload, (profile, by_size) in run_workload_grid(
-            _fig8_workload, config, pool):
+            _fig8_workload, config, jobs):
         result.offset_profile[workload] = profile
         result.size_coverage[workload] = by_size
     return result

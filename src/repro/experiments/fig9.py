@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..sim.coverage import build_view_events, measure_pif_predictability
 from .common import (
@@ -23,7 +23,7 @@ from .common import (
     percent,
     traces_for,
 )
-from .parallel import ExperimentPool, run_workload_grid
+from .parallel import run_workload_grid
 
 #: History sizes swept, in region records (the paper's axis is
 #: log2 of K-regions; ours starts smaller because the synthetic
@@ -112,11 +112,11 @@ def _fig9_workload(config: ExperimentConfig, workload: str
 
 
 def run_fig9(config: ExperimentConfig,
-             pool: Optional[ExperimentPool] = None) -> Fig9Result:
+             jobs: int = 1) -> Fig9Result:
     """Run both Figure 9 panels."""
     result = Fig9Result(config=config)
     for workload, (length_cdf, by_size) in run_workload_grid(
-            _fig9_workload, config, pool):
+            _fig9_workload, config, jobs):
         result.length_cdf[workload] = length_cdf
         result.history_coverage[workload] = by_size
     return result

@@ -1,20 +1,19 @@
-"""Process-level fan-out for the experiment grid.
+"""Process-level fan-out for the experiment grid, the CLI and sweeps.
 
 Every figure experiment decomposes into independent per-workload slices
 (one slice = everything one workload contributes to one figure), so the
 natural parallel unit is the (workload × config) grid.  This module
 provides:
 
-* :class:`ExperimentPool` — an ordered map over a figure's per-workload
-  slice function, backed by a persistent :mod:`multiprocessing` pool
-  when ``jobs > 1`` and plain serial iteration otherwise.  The pool
-  lives for a whole evaluation run, so each worker process generates a
-  workload's trace bundle at most once (via the
-  :func:`repro.pipeline.tracegen.cached_trace` trace-bundle cache) and
-  reuses it across every figure and sweep point it is handed.
+* :func:`run_workload_grid` — an ordered map of a figure's per-workload
+  slice function over ``config.workloads``: inline when ``jobs=1``, and
+  otherwise through :func:`parallel_map` on the persistent
+  :func:`shared_pool`, whose workers keep each generated trace bundle
+  (the :func:`repro.pipeline.tracegen.cached_trace` cache) across every
+  figure and ablation of an evaluation run.
 * :func:`parallel_map` — a generic ordered process map for callers that
-  are not shaped around :class:`ExperimentConfig` (the CLI's compare
-  matrix).
+  are not shaped around an experiment config (the CLI's compare
+  matrix, ``repro traces build``).
 * :func:`parallel_imap` — the incremental variant: results are yielded
   as tasks complete (completion order), so callers that checkpoint
   progress to disk — the scenario sweep runner persisting each finished
@@ -38,7 +37,7 @@ provides:
 Worker-death tolerance (the failure model DESIGN.md documents): a
 worker that dies mid-task — segfault, OOM kill, injected
 ``worker.task`` fault — breaks a ``ProcessPoolExecutor``
-(``BrokenProcessPool``), unlike ``multiprocessing.Pool`` which hangs.
+(``BrokenProcessPool``) instead of hanging it.
 :func:`parallel_imap` catches the break, salvages every already
 completed result, rebuilds the pool with bounded exponential backoff,
 and resubmits the unfinished tasks.  After :data:`POOL_REBUILD_LIMIT`
@@ -51,7 +50,7 @@ worker) or ``"yield"`` (yield a :class:`TaskFailure` in the task's
 result slot; the sweep runner's retry/quarantine loop consumes these).
 
 Determinism: results are collected in submission order, and every
-:class:`ExperimentPool` grid task carries a
+:func:`run_workload_grid` task carries a
 :func:`repro.common.rng.child_seed`-derived seed that is installed into
 the worker's global ``random`` state before the slice runs, so tables
 are bit-identical between ``--jobs 1`` and ``--jobs N`` regardless of
@@ -62,7 +61,6 @@ its callers must pass functions that are deterministic on their own.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import random
 import time
@@ -250,13 +248,13 @@ atexit.register(shutdown_shared_pool)
 # A multiprocessing *child* process never reaches atexit hooks before
 # reaping: Process._bootstrap calls multiprocessing.util._exit_function
 # directly, which joins live non-daemon children — and executor workers
-# are non-daemon (unlike multiprocessing.Pool's).  A child that ran a
-# pooled sweep (a harness timing sweeps in spawned children, say) would
-# hang at exit joining workers that are themselves waiting for more
-# work.  Registering the shutdown as a multiprocessing finalizer too
-# places it in the finalizer pass _exit_function runs *before* that
-# join.  (Children never inherit this registration — Process bootstrap
-# clears the finalizer registry — so pool workers cannot run it.)
+# are non-daemon.  A child that ran a pooled sweep (a harness timing
+# sweeps in spawned children, say) would hang at exit joining workers
+# that are themselves waiting for more work.  Registering the shutdown
+# as a multiprocessing finalizer too places it in the finalizer pass
+# _exit_function runs *before* that join.  (Children never inherit this
+# registration — Process bootstrap clears the finalizer registry — so
+# pool workers cannot run it.)
 _mp_util.Finalize(None, shutdown_shared_pool, exitpriority=100)
 
 
@@ -296,68 +294,25 @@ def _task_name(func: WorkloadSlice) -> str:
     return f"{func.__module__}.{getattr(func, '__qualname__', repr(func))}"
 
 
-class ExperimentPool:
-    """Ordered per-workload fan-out shared by every experiment runner.
+def run_workload_grid(func: WorkloadSlice, config: Any, jobs: int = 1
+                      ) -> List[Tuple[str, Any]]:
+    """Apply ``func`` to every workload of ``config``, in order.
 
-    ``jobs=1`` (the default) runs slices inline with zero overhead;
-    ``jobs>1`` keeps a persistent worker pool whose processes cache
-    generated traces across figures.  Use as a context manager::
-
-        with ExperimentPool(jobs=4) as pool:
-            fig10 = run_fig10(config, pool=pool)
+    Returns ``[(workload, payload), ...]`` ordered exactly like
+    ``config.workloads``, whatever the completion order was.  With
+    ``jobs>1`` the slices run on the persistent :func:`shared_pool`
+    through :func:`parallel_map`, so a dead worker is survived (or
+    reported as :class:`WorkerCrashError`) the same way as for every
+    other fan-out.
     """
-
-    def __init__(self, jobs: int = 1) -> None:
-        if jobs <= 0:
-            raise ValueError("jobs must be positive")
-        self.jobs = jobs
-        self._pool: Optional[multiprocessing.pool.Pool] = None
-        if jobs > 1:
-            self._pool = multiprocessing.Pool(
-                processes=jobs, initializer=_attach_worker,
-                initargs=_initargs())
-
-    def map_workloads(self, func: WorkloadSlice, config: Any
-                      ) -> List[Tuple[str, Any]]:
-        """Apply ``func`` to every workload of ``config``, in order.
-
-        Returns ``[(workload, payload), ...]`` ordered exactly like
-        ``config.workloads``, whatever the completion order was.
-        """
-        name = _task_name(func)
-        tasks = [
-            _TaskSpec(func, config, workload,
-                      child_seed(config.seed, name, workload))
-            for workload in config.workloads
-        ]
-        if self._pool is None:
-            payloads = [_run_task(task) for task in tasks]
-        else:
-            payloads = self._pool.map(_run_task, tasks, chunksize=1)
-        return list(zip(config.workloads, payloads))
-
-    def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> ExperimentPool:
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-def run_workload_grid(func: WorkloadSlice, config: Any,
-                      pool: Optional[ExperimentPool] = None
-                      ) -> List[Tuple[str, Any]]:
-    """Map ``func`` over ``config.workloads`` through ``pool`` (serial
-    when ``pool`` is None) — the one-liner every figure runner uses."""
-    if pool is None:
-        return ExperimentPool(jobs=1).map_workloads(func, config)
-    return pool.map_workloads(func, config)
+    name = _task_name(func)
+    tasks = [
+        _TaskSpec(func, config, workload,
+                  child_seed(config.seed, name, workload))
+        for workload in config.workloads
+    ]
+    return list(zip(config.workloads,
+                    parallel_map(_run_task, tasks, jobs=jobs)))
 
 
 def parallel_map(func: Callable[[Any], Any], items: Sequence[Any],

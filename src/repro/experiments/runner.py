@@ -33,7 +33,7 @@ from .fig7 import run_fig7
 from .fig8 import run_fig8
 from .fig9 import run_fig9
 from .fig10 import run_fig10
-from .parallel import ExperimentPool, jobs_argument_type
+from .parallel import jobs_argument_type
 
 #: argparse type for ``--jobs``: positive integer or ``auto``.
 _jobs_value = jobs_argument_type
@@ -105,14 +105,13 @@ def run_all(config: ExperimentConfig, include_ablations: bool = True,
                   file=sys.stderr)
 
     started = time.time()
-    with ExperimentPool(jobs=jobs) as pool:
-        for name in selected:
-            runner = FIGURE_RUNNERS[name]
-            run_step(runner.__name__,
-                     lambda runner=runner: runner(config, pool=pool))
-        if include_ablations:
-            for ablation in run_all_ablations(config, pool=pool):
-                emit(ablation)
+    for name in selected:
+        runner = FIGURE_RUNNERS[name]
+        run_step(runner.__name__,
+                 lambda runner=runner: runner(config, jobs=jobs))
+    if include_ablations:
+        for ablation in run_all_ablations(config, jobs=jobs):
+            emit(ablation)
     print(f"Total: {time.time() - started:.1f}s", file=sys.stderr)
     return results
 

@@ -1,22 +1,1 @@
 """Core pipeline model: fetch engine with wrong-path noise, trace generation."""
-
-from .frontend import FetchModel, FrontEndStats
-from .tracegen import (
-    DEFAULT_INSTRUCTIONS,
-    GeneratedTrace,
-    cached_trace,
-    generate_trace,
-    multi_core_traces,
-    program_for,
-)
-
-__all__ = [
-    "FetchModel",
-    "FrontEndStats",
-    "DEFAULT_INSTRUCTIONS",
-    "GeneratedTrace",
-    "cached_trace",
-    "generate_trace",
-    "multi_core_traces",
-    "program_for",
-]

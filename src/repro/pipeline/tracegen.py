@@ -9,9 +9,9 @@ Programs and traces are cached per parameter tuple because every
 experiment in the evaluation matrix replays the same six workloads.
 The cache is two-level: an in-process ``lru_cache`` in front of the
 content-addressed on-disk :class:`~repro.trace.store.TraceStore`, so
-repeat runs (and every :class:`~repro.experiments.parallel.ExperimentPool`
-worker process) load columnar ``.npz`` archives instead of re-executing
-the generator.  Store round-trips are bit-identical to fresh
+repeat runs (and every worker of the persistent
+:func:`~repro.experiments.parallel.shared_pool`) load columnar ``.npz``
+archives instead of re-executing the generator.  Store round-trips are bit-identical to fresh
 generation; set ``REPRO_TRACE_STORE=off`` to disable persistence.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from ..common.config import SystemConfig
 from ..common.profiling import STAGE_TRACE_LOAD, stage
@@ -152,12 +152,3 @@ def cached_trace(workload: str, instructions: int, seed: int,
             store.put(key, trace.bundle,
                       extra={"frontend_stats": asdict(trace.frontend_stats)})
         return trace
-
-
-def multi_core_traces(workload: str, instructions: int, seed: int,
-                      cores: int) -> List[GeneratedTrace]:
-    """Traces for ``cores`` independent cores of the same workload."""
-    if cores <= 0:
-        raise ValueError("cores must be positive")
-    return [cached_trace(workload, instructions, seed, core)
-            for core in range(cores)]

@@ -7,7 +7,7 @@ PIF itself lives in :mod:`repro.core`; it implements the same
 from typing import Optional
 
 from ..common.config import PIFConfig
-from .base import NullPrefetcher, PrefetchStats, Prefetcher, as_block_list
+from .base import NullPrefetcher, PrefetchStats, Prefetcher
 from .discontinuity import DiscontinuityPrefetcher
 from .nextline import NextLinePrefetcher
 from .stride import StridePrefetcher
@@ -70,7 +70,6 @@ __all__ = [
     "PREFETCHER_NAMES",
     "PrefetchStats",
     "Prefetcher",
-    "as_block_list",
     "DiscontinuityPrefetcher",
     "NextLinePrefetcher",
     "StridePrefetcher",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import List
 
 
 @dataclass(slots=True)
@@ -138,20 +138,3 @@ def demand_access_hook(prefetcher: Prefetcher):
         return len(candidates)
 
     return bridge
-
-
-def as_block_list(blocks: Iterable[int]) -> List[int]:
-    """Deduplicate prefetch candidates preserving order.
-
-    Engines frequently produce the same block twice in one response
-    (e.g. a region's trigger block also appearing via next-line); the
-    cache would filter it, but deduping here keeps issue counters
-    meaningful.
-    """
-    seen = set()
-    ordered: List[int] = []
-    for block in blocks:
-        if block not in seen:
-            seen.add(block)
-            ordered.append(block)
-    return ordered

@@ -253,12 +253,6 @@ class BaselineSidecar:
                     record["baseline"]
         return entries, grouped
 
-    def load_by_trace(self) -> Dict[tuple, Dict[str, Dict[str, Any]]]:
-        """Readable entries grouped by their trace identity tuple
-        (entries without one — foreign tooling, hand edits — are simply
-        not attachable per task; :meth:`load` still seeds them)."""
-        return self.load_all()[1]
-
     def append_missing(self, entries: Dict[str, Dict[str, Any]],
                        known: set, trace: tuple) -> int:
         """Append ``trace``'s entries whose key is not in ``known``

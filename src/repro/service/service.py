@@ -35,8 +35,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..faults import fire
 from ..scenarios import ResultsStore, parse_spec, run_sweep, status_summary
-from .jobs import (CANCELLED, DEGRADED, DONE, FAILED, QUEUED, RUNNING,
-                   TERMINAL_STATES, Job, JobStore)
+from .jobs import (CANCELLED, DEGRADED, DONE, FAILED, QUEUED, RUNNING, Job,
+                   JobStore)
 
 #: Default bound on the number of *queued* (not yet running) jobs.
 DEFAULT_QUEUE_DEPTH = 16
@@ -222,23 +222,6 @@ class SweepService:
         spec = parse_spec(job.raw_spec)
         return status_summary(spec, ResultsStore(self.store.sweep_dir(job.id)))
 
-    def wait_idle(self, timeout: float) -> bool:
-        """Testing/operator helper: block until no job is queued or
-        running (True) or ``timeout`` seconds elapsed (False)."""
-        deadline_event = threading.Event()
-        # Polling keeps this free of extra bookkeeping in the hot worker
-        # loop; the granularity only affects how fast tests return.
-        waited = 0.0
-        step = 0.02
-        while waited <= timeout:
-            with self._lock:
-                idle = not self._queue and self._active is None
-            if idle:
-                return True
-            deadline_event.wait(step)
-            waited += step
-        return False
-
     # ------------------------------------------------------------------
     # worker
 
@@ -315,8 +298,3 @@ class SweepService:
         self._log(event)
 
     _event = log_event
-
-
-def terminal(job: Job) -> bool:
-    """True when ``job`` can never change state again."""
-    return job.state in TERMINAL_STATES

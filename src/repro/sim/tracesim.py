@@ -81,10 +81,6 @@ class PrefetchSimResult:
         remaining = self.per_level_remaining.get(trap_level, 0)
         return (baseline - remaining) / baseline
 
-    def miss_rate_reduction(self) -> float:
-        """Alias for coverage, the paper's headline per-workload metric."""
-        return self.coverage()
-
     def baseline_mpki(self) -> float:
         """Baseline misses per kilo-instruction over the whole trace
         (instructions are not windowed, so treat as indicative)."""

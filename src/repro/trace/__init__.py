@@ -1,68 +1,2 @@
-"""Instruction-trace records, bundles, stream views, stats, and storage."""
-
-from .bundle import TraceBundle, merge_statistics
-from .records import (
-    FetchAccess,
-    RetiredInstruction,
-    StreamKind,
-    TL_APPLICATION,
-    TL_INTERRUPT,
-)
-from .serialize import (
-    TraceFormatError,
-    load_bundle,
-    load_bundle_extra,
-    save_bundle,
-    save_bundle_atomic,
-)
-from .stats import (
-    StreamStats,
-    analyze_block_stream,
-    repetition_score,
-    reuse_distance_histogram,
-    run_length_distribution,
-    stream_overlap,
-    summarize_streams,
-)
-from .store import TraceKey, TraceStore, generator_version_hash
-from .streams import (
-    access_block_stream,
-    collapse_block_runs,
-    correct_path_block_stream,
-    deduplicate_consecutive,
-    retire_block_stream,
-    split_stream_by_trap_level,
-    unique_blocks,
-)
-
-__all__ = [
-    "TraceBundle",
-    "merge_statistics",
-    "TL_APPLICATION",
-    "TL_INTERRUPT",
-    "FetchAccess",
-    "RetiredInstruction",
-    "StreamKind",
-    "TraceFormatError",
-    "load_bundle",
-    "load_bundle_extra",
-    "save_bundle",
-    "save_bundle_atomic",
-    "TraceKey",
-    "TraceStore",
-    "generator_version_hash",
-    "StreamStats",
-    "analyze_block_stream",
-    "repetition_score",
-    "reuse_distance_histogram",
-    "run_length_distribution",
-    "stream_overlap",
-    "summarize_streams",
-    "access_block_stream",
-    "collapse_block_runs",
-    "correct_path_block_stream",
-    "deduplicate_consecutive",
-    "retire_block_stream",
-    "split_stream_by_trap_level",
-    "unique_blocks",
-]
+"""Instruction-trace records, bundles, stream statistics, the on-disk
+store and its replication tier."""

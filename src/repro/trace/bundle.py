@@ -29,7 +29,6 @@ from ..common.addressing import DEFAULT_BLOCK_BYTES, block_bits_for
 from .records import (
     FetchAccess,
     RetiredInstruction,
-    TL_APPLICATION,
     access_columns,
     accesses_from_columns,
     retire_columns,
@@ -191,22 +190,12 @@ class TraceBundle:
         """Block addresses of the retire stream, in order (``int64``)."""
         return self.retire_pc >> self._block_bits
 
-    def retire_blocks(self) -> List[int]:
-        """Block addresses of the retire stream, in order."""
-        return self.retire_block_array().tolist()
-
     def correct_path_accesses(self) -> List[FetchAccess]:
         """The access stream with wrong-path requests removed."""
         keep = ~self.access_wrong_path
         return accesses_from_columns(
             self.access_block[keep], self.access_pc[keep],
             self.access_trap[keep], self.access_wrong_path[keep])
-
-    def application_retires(self) -> List[RetiredInstruction]:
-        """Retire records at trap level 0 only."""
-        keep = self.retire_trap == TL_APPLICATION
-        return retires_from_columns(self.retire_pc[keep],
-                                    self.retire_trap[keep])
 
     def wrong_path_fraction(self) -> float:
         """Fraction of front-end accesses that were wrong-path."""
@@ -218,15 +207,6 @@ class TraceBundle:
     def footprint_blocks(self) -> int:
         """Number of distinct correct-path instruction blocks touched."""
         return int(np.unique(self.retire_block_array()).size)
-
-    def split_by_trap_level(self) -> Dict[int, List[RetiredInstruction]]:
-        """Retire records grouped by trap level (the RetireSep view)."""
-        groups: Dict[int, List[RetiredInstruction]] = {}
-        for level in np.unique(self.retire_trap).tolist():
-            keep = self.retire_trap == level
-            groups[level] = retires_from_columns(self.retire_pc[keep],
-                                                 self.retire_trap[keep])
-        return groups
 
     def validate(self) -> None:
         """Raise ValueError if the bundle violates basic invariants."""
@@ -253,28 +233,3 @@ class TraceBundle:
                 f"pc={int(self.access_pc[index]):#x} with "
                 f"block_bytes={self.block_bytes}"
             )
-
-
-def merge_statistics(bundles: Sequence[TraceBundle]) -> Dict[str, float]:
-    """Aggregate headline statistics over per-core bundles.
-
-    Returns a dictionary with total instruction count, mean wrong-path
-    fraction, and the union instruction footprint in blocks — the
-    numbers experiments print alongside their results for sanity
-    checking against the paper's workload characterization.
-    """
-    if not bundles:
-        raise ValueError("need at least one bundle")
-    instructions = 0
-    wrong_path = 0.0
-    footprints = []
-    for bundle in bundles:
-        instructions += bundle.instructions
-        wrong_path += bundle.wrong_path_fraction()
-        footprints.append(bundle.retire_block_array())
-    footprint = np.unique(np.concatenate(footprints)) if footprints else ()
-    return {
-        "instructions": float(instructions),
-        "mean_wrong_path_fraction": wrong_path / len(bundles),
-        "union_footprint_blocks": float(len(footprint)),
-    }

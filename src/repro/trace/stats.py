@@ -1,25 +1,22 @@
 """Descriptive statistics over block streams.
 
 These are the measurements Section 2 and Section 3 of the paper report
-when characterizing stream quality: footprint, repetition, run lengths,
-and discontinuity structure.  Experiments print them alongside results
-so a reader can check the synthetic workloads exhibit the properties the
-paper attributes to real server workloads.
+when characterizing stream quality: footprint, repetition and
+discontinuity structure.  ``repro trace`` and the examples print them
+so a reader can check the synthetic workloads exhibit the properties
+the paper attributes to real server workloads.
 
 Every function accepts either a plain Python sequence or a numpy array
 (the columnar views of :class:`~repro.trace.bundle.TraceBundle` feed in
 directly) and computes with vectorized numpy passes — unique counts,
-diff-based transition analysis, argsort-grouped reuse distances —
-instead of per-element Python loops.  Outputs are plain Python types
-(``Counter`` of ``int``), identical to the scalar implementations they
-replaced.
+diff-based transition analysis, sliding-window n-grams — instead of
+per-element Python loops.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
@@ -78,79 +75,6 @@ def analyze_block_stream(blocks: BlockStream) -> StreamStats:
     )
 
 
-def _log2_bins(distances: np.ndarray, max_bins: int) -> np.ndarray:
-    """``bit_length(d) - 1`` per positive distance, clamped to
-    ``max_bins`` (exact: frexp exponents, not float log2 rounding)."""
-    _, exponents = np.frexp(distances.astype(np.float64))
-    return np.minimum(exponents - 1, max_bins)
-
-
-def reuse_distance_histogram(blocks: BlockStream,
-                             max_bins: int = 32) -> Counter:
-    """Histogram of log2 reuse distances (in stream positions).
-
-    Bin ``b`` counts reuses whose distance ``d`` satisfies
-    ``2**b <= d < 2**(b+1)``; bin ``max_bins`` collects the tail and a
-    special bin ``-1`` counts first-ever uses.  This is the measurement
-    underlying the paper's jump-distance analysis (Figure 7), applied to
-    raw blocks rather than stream heads.
-
-    Vectorized: positions are grouped by block with a stable argsort,
-    reuse distances fall out of one diff over the grouped positions.
-    """
-    array = _as_array(blocks)
-    histogram: Counter = Counter()
-    if array.size == 0:
-        return histogram
-    _, inverse, first_counts = np.unique(array, return_inverse=True,
-                                         return_counts=True)
-    histogram[-1] = int(first_counts.size)
-    order = np.argsort(inverse, kind="stable")
-    grouped = inverse[order]
-    positions = np.arange(array.size)[order]
-    distances = np.diff(positions)
-    same_block = np.diff(grouped) == 0
-    reuse_distances = distances[same_block]
-    if reuse_distances.size:
-        bins, counts = np.unique(_log2_bins(reuse_distances, max_bins),
-                                 return_counts=True)
-        for bin_index, count in zip(bins.tolist(), counts.tolist()):
-            histogram[bin_index] = count
-    return histogram
-
-
-def run_length_distribution(blocks: BlockStream) -> Counter:
-    """Distribution of sequential-run lengths in a block stream.
-
-    A run is a maximal subsequence ``b, b+1, b+2, ...``.  Long runs are
-    what next-line prefetchers exploit; the distribution's short tail on
-    server-like streams is the paper's motivation for temporal
-    streaming.
-    """
-    array = _as_array(blocks)
-    runs: Counter = Counter()
-    if array.size == 0:
-        return runs
-    breaks = np.flatnonzero(np.diff(array) != 1)
-    boundaries = np.concatenate(([-1], breaks, [array.size - 1]))
-    lengths, counts = np.unique(np.diff(boundaries), return_counts=True)
-    for length, count in zip(lengths.tolist(), counts.tolist()):
-        runs[length] = count
-    return runs
-
-
-def stream_overlap(first: BlockStream, second: BlockStream) -> float:
-    """Jaccard similarity of the footprints of two block streams."""
-    set_first = np.unique(_as_array(first))
-    set_second = np.unique(_as_array(second))
-    union = np.union1d(set_first, set_second)
-    if union.size == 0:
-        return 1.0
-    intersection = np.intersect1d(set_first, set_second,
-                                  assume_unique=True)
-    return intersection.size / union.size
-
-
 def repetition_score(blocks: BlockStream, window: int = 4096) -> float:
     """Fraction of windowed block n-grams (n=4) that recur in the stream.
 
@@ -176,18 +100,3 @@ def repetition_score(blocks: BlockStream, window: int = 4096) -> float:
     total = int(rows.size)
     repeats = total - int(first_position.size)
     return repeats / total if total else 0.0
-
-
-def per_level_lengths(levels: BlockStream) -> Dict[int, int]:
-    """Count of records per trap level in a stream of trap levels."""
-    values, counts = np.unique(np.asarray(levels, dtype=np.int64),
-                               return_counts=True)
-    return {int(level): int(count)
-            for level, count in zip(values, counts)}
-
-
-def summarize_streams(named_streams: Dict[str, List[int]]
-                      ) -> Dict[str, StreamStats]:
-    """Analyze several named streams at once (convenience for reports)."""
-    return {name: analyze_block_stream(stream)
-            for name, stream in named_streams.items()}

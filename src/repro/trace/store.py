@@ -13,9 +13,8 @@ be replayed against new code.
 Layout: one ``.npz`` archive per key, named
 ``{workload}__i{instructions}__s{seed}__c{core}__g{hash12}.npz``, in a
 single flat directory.  Writes go through the atomic renamer in
-:mod:`repro.trace.serialize`, so concurrent
-:class:`~repro.experiments.parallel.ExperimentPool` workers racing on
-one key at worst write the identical file twice.  Unreadable or
+:mod:`repro.trace.serialize`, so concurrent pool or fleet workers
+racing on one key at worst write the identical file twice.  Unreadable or
 truncated archives are treated as cache misses and deleted.
 
 The store root comes from the ``REPRO_TRACE_STORE`` environment
@@ -128,11 +127,6 @@ def active_generator() -> str:
     """
     return (_generator_override if _generator_override is not None
             else generator_version_hash()[:12])
-
-
-def generator_override() -> Optional[str]:
-    """The installed override prefix, or None when keying locally."""
-    return _generator_override
 
 
 def set_generator_override(prefix: Optional[str]) -> None:

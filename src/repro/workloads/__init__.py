@@ -1,38 +1,1 @@
 """Synthetic server workloads: specs, program generation, execution."""
-
-from .executor import ControlRecord, MAX_TRANSACTION_INSTRUCTIONS, ProgramExecutor
-from .generator import (
-    APPLICATION_TEXT_BASE,
-    HANDLER_TEXT_BASE,
-    ProgramGenerator,
-    build_program,
-)
-from .program import BasicBlock, BlockKind, Function, SyntheticProgram
-from .spec import (
-    PAPER_WORKLOADS,
-    WORKLOAD_GROUPS,
-    WORKLOAD_NAMES,
-    WorkloadSpec,
-    get_spec,
-    scaled_spec,
-)
-
-__all__ = [
-    "ControlRecord",
-    "ProgramExecutor",
-    "MAX_TRANSACTION_INSTRUCTIONS",
-    "APPLICATION_TEXT_BASE",
-    "HANDLER_TEXT_BASE",
-    "ProgramGenerator",
-    "build_program",
-    "BasicBlock",
-    "BlockKind",
-    "Function",
-    "SyntheticProgram",
-    "PAPER_WORKLOADS",
-    "WORKLOAD_GROUPS",
-    "WORKLOAD_NAMES",
-    "WorkloadSpec",
-    "get_spec",
-    "scaled_spec",
-]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..common.addressing import INSTRUCTION_BYTES
 
@@ -180,10 +180,6 @@ class SyntheticProgram:
         """The basic block whose first instruction is ``pc``, if any."""
         return self._block_index.get(pc)
 
-    def code_footprint_bytes(self) -> int:
-        """Total bytes of laid-out code (gaps excluded)."""
-        return sum(f.size_bytes for f in self.all_functions())
-
     def validate(self) -> None:
         """Validate every function and cross-function invariants."""
         seen_ranges: List[tuple] = []
@@ -202,11 +198,3 @@ class SyntheticProgram:
             raise ValueError("transaction weights do not match transactions")
         if len(self.handlers) != len(self.handler_weights):
             raise ValueError("handler weights do not match handlers")
-
-
-def function_spanning(functions: Sequence[Function], pc: int) -> Optional[Function]:
-    """Linear search helper used by tests to find a PC's owning function."""
-    for function in functions:
-        if function.entry <= pc < function.end_pc:
-            return function
-    return None

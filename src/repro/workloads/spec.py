@@ -195,19 +195,3 @@ def get_spec(name: str) -> WorkloadSpec:
         raise KeyError(
             f"unknown workload {name!r}; valid names: {sorted(PAPER_WORKLOADS)}"
         ) from None
-
-
-def scaled_spec(spec: WorkloadSpec, footprint_scale: float) -> WorkloadSpec:
-    """A copy of ``spec`` with its code footprint scaled.
-
-    Used by fast test/bench modes: the stream *shapes* survive scaling,
-    only the absolute miss rates move.
-    """
-    if footprint_scale <= 0:
-        raise ValueError("footprint_scale must be positive")
-    from dataclasses import replace
-
-    return replace(
-        spec,
-        code_footprint_kb=max(64, int(spec.code_footprint_kb * footprint_scale)),
-    )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.branch.counters import CounterTable, SaturatingCounter
+from repro.branch.counters import CounterTable
 from repro.branch.predictors import (
     AlwaysTakenPredictor,
     BimodalPredictor,
@@ -13,30 +13,38 @@ from repro.branch.predictors import (
 
 
 class TestSaturatingCounter:
+    """One 2-bit slot of a :class:`CounterTable`."""
+
     def test_initial_weakly_taken(self):
-        assert SaturatingCounter().taken
+        assert CounterTable(1).predict(0)
 
     def test_saturates_high(self):
-        counter = SaturatingCounter()
+        counter = CounterTable(1)
         for _ in range(10):
-            counter.update(True)
-        assert counter.value == 3
+            counter.update(0, True)
+        counter.update(0, False)
+        assert counter.predict(0)  # 3 -> 2: saturated at 3, not above
+        counter.update(0, False)
+        assert not counter.predict(0)
 
     def test_saturates_low(self):
-        counter = SaturatingCounter()
+        counter = CounterTable(1)
         for _ in range(10):
-            counter.update(False)
-        assert counter.value == 0
-        assert not counter.taken
+            counter.update(0, False)
+        assert not counter.predict(0)
+        counter.update(0, True)
+        assert not counter.predict(0)  # 0 -> 1: saturated at 0
+        counter.update(0, True)
+        assert counter.predict(0)
 
     def test_hysteresis(self):
-        counter = SaturatingCounter(initial=3)
-        counter.update(False)
-        assert counter.taken  # one not-taken does not flip a strong state
+        counter = CounterTable(1, initial=3)
+        counter.update(0, False)
+        assert counter.predict(0)  # one not-taken does not flip a strong state
 
     def test_rejects_bad_init(self):
         with pytest.raises(ValueError):
-            SaturatingCounter(bits=2, initial=9)
+            CounterTable(1, bits=2, initial=9)
 
 
 class TestCounterTable:

@@ -4,13 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.addressing import (
-    INSTRUCTION_BYTES,
     PAPER_GEOMETRY,
     RegionGeometry,
-    block_base_pc,
     block_bits_for,
-    block_of,
-    blocks_spanned,
 )
 
 
@@ -24,43 +20,6 @@ class TestBlockMath:
     def test_block_bits_rejects_non_powers(self, bad):
         with pytest.raises(ValueError):
             block_bits_for(bad)
-
-    def test_block_of_boundaries(self):
-        assert block_of(0) == 0
-        assert block_of(63) == 0
-        assert block_of(64) == 1
-        assert block_of(127) == 1
-
-    def test_block_of_rejects_negative(self):
-        with pytest.raises(ValueError):
-            block_of(-4)
-
-    def test_block_base_pc_inverts_block_of(self):
-        for pc in (0, 64, 4096, 0x40_0000):
-            assert block_base_pc(block_of(pc)) == pc - (pc % 64)
-
-    @given(st.integers(min_value=0, max_value=1 << 48))
-    def test_block_of_base_within_block(self, pc):
-        base = block_base_pc(block_of(pc))
-        assert base <= pc < base + 64
-
-    def test_blocks_spanned_single_block(self):
-        assert blocks_spanned(0, 16) == 1
-
-    def test_blocks_spanned_crosses_boundary(self):
-        # 15 instructions starting 8 bytes before a block boundary.
-        assert blocks_spanned(64 - 8, 15) == 2
-
-    def test_blocks_spanned_zero_instructions(self):
-        assert blocks_spanned(100, 0) == 0
-
-    @given(st.integers(min_value=0, max_value=1 << 32),
-           st.integers(min_value=1, max_value=512))
-    def test_blocks_spanned_matches_enumeration(self, pc, count):
-        expected = len({
-            block_of(pc + i * INSTRUCTION_BYTES) for i in range(count)
-        })
-        assert blocks_spanned(pc, count) == expected
 
 
 class TestRegionGeometry:

@@ -4,7 +4,7 @@ compactor relies on."""
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.bitvec import BitVector, empty, full
+from repro.common.bitvec import BitVector
 
 
 def vectors(width=st.integers(min_value=0, max_value=16)):
@@ -15,8 +15,8 @@ def vectors(width=st.integers(min_value=0, max_value=16)):
 
 class TestConstruction:
     def test_empty_and_full(self):
-        assert empty(7).popcount() == 0
-        assert full(7).popcount() == 7
+        assert BitVector(7, 0).popcount() == 0
+        assert BitVector(7, 0b1111111).popcount() == 7
 
     def test_rejects_mask_beyond_width(self):
         with pytest.raises(ValueError):
@@ -53,16 +53,16 @@ class TestConstruction:
 
 class TestOperations:
     def test_set_clear_test(self):
-        vector = empty(4).set(2)
+        vector = BitVector(4, 0).set(2)
         assert vector.test(2)
         assert not vector.clear(2).test(2)
 
     def test_set_out_of_range(self):
         with pytest.raises(ValueError):
-            empty(4).set(4)
+            BitVector(4, 0).set(4)
 
     def test_immutability(self):
-        vector = empty(4)
+        vector = BitVector(4, 0)
         vector.set(1)
         assert vector.is_empty()
 
@@ -75,7 +75,7 @@ class TestOperations:
 
     def test_subset_width_mismatch(self):
         with pytest.raises(ValueError):
-            empty(3).is_subset_of(empty(4))
+            BitVector(3, 0).is_subset_of(BitVector(4, 0))
 
     def test_union_intersection(self):
         a = BitVector.from_string("110")

@@ -4,7 +4,7 @@ from collections import OrderedDict
 
 from hypothesis import given, strategies as st
 
-from repro.common.lru import LRUCache, LRUSet
+from repro.common.lru import LRUCache
 
 
 class TestLRUCache:
@@ -94,31 +94,3 @@ class TestLRUCache:
                     assert got is None
         assert list(model) == [
             k for k, _ in reversed(list(cache.items_mru_first()))]
-
-
-class TestLRUSet:
-    def test_add_and_membership(self):
-        members = LRUSet(2)
-        members.add("x")
-        assert "x" in members
-        assert "y" not in members
-
-    def test_eviction(self):
-        members = LRUSet(2)
-        members.add("x")
-        members.add("y")
-        assert members.add("z") == "x"
-
-    def test_touch(self):
-        members = LRUSet(2)
-        members.add("x")
-        members.add("y")
-        assert members.touch("x")
-        assert members.add("z") == "y"
-        assert not members.touch("missing")
-
-    def test_members_mru_first(self):
-        members = LRUSet(3)
-        for key in "abc":
-            members.add(key)
-        assert list(members.members_mru_first()) == ["c", "b", "a"]

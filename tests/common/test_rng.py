@@ -1,9 +1,8 @@
 """Deterministic RNG derivation."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.rng import child_seed, make_rng, weighted_choice
+from repro.common.rng import child_seed, make_rng
 
 
 class TestChildSeed:
@@ -37,30 +36,3 @@ class TestMakeRng:
         b = make_rng(7, "x")
         assert [a.random() for _ in range(8)] == [
             b.random() for _ in range(8)]
-
-
-class TestWeightedChoice:
-    def test_degenerate_single_weight(self):
-        rng = make_rng(0, "t")
-        assert weighted_choice(rng, [1.0]) == 0
-
-    def test_zero_weight_never_chosen(self):
-        rng = make_rng(0, "t")
-        picks = {weighted_choice(rng, [0.0, 1.0, 0.0]) for _ in range(100)}
-        assert picks == {1}
-
-    def test_rejects_all_zero(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(0, "t"), [0.0, 0.0])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            weighted_choice(make_rng(0, "t"), [1.0, -1.0])
-
-    def test_roughly_proportional(self):
-        rng = make_rng(3, "prop")
-        counts = [0, 0]
-        for _ in range(4000):
-            counts[weighted_choice(rng, [3.0, 1.0])] += 1
-        ratio = counts[0] / counts[1]
-        assert 2.0 < ratio < 4.5

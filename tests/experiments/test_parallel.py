@@ -10,7 +10,6 @@ from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig10 import run_fig10
 from repro.experiments.parallel import (
     WORKER_DIED,
-    ExperimentPool,
     TaskFailure,
     WorkerCrashError,
     parallel_imap,
@@ -127,14 +126,16 @@ def _read_store_env(_):
 
 class TestPlumbing:
     def test_serial_grid_preserves_workload_order(self):
-        pairs = run_workload_grid(_workload_tag, TINY, pool=None)
+        pairs = run_workload_grid(_workload_tag, TINY)
         assert [w for w, _ in pairs] == list(TINY.workloads)
         assert pairs[0][1] == "oltp-db2@60000"
 
     def test_pool_grid_matches_serial(self):
-        serial = run_workload_grid(_workload_tag, TINY, pool=None)
-        with ExperimentPool(jobs=2) as pool:
-            fanned = pool.map_workloads(_workload_tag, TINY)
+        serial = run_workload_grid(_workload_tag, TINY)
+        try:
+            fanned = run_workload_grid(_workload_tag, TINY, jobs=2)
+        finally:
+            shutdown_shared_pool()
         assert fanned == serial
 
     def test_parallel_map_is_ordered(self):
@@ -146,14 +147,9 @@ class TestPlumbing:
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
-            ExperimentPool(jobs=0)
+            run_workload_grid(_workload_tag, TINY, jobs=0)
         with pytest.raises(ValueError):
             parallel_map(_double, [1], jobs=0)
-
-    def test_pool_close_is_idempotent(self):
-        pool = ExperimentPool(jobs=2)
-        pool.close()
-        pool.close()
 
 
 def _die_on_three(value):
@@ -166,6 +162,16 @@ def _die_on_three(value):
     return 2 * value
 
 
+def _die_on_dss(config, workload):
+    """Module-level poison slice: the DSS workload's worker exits like a
+    segfault."""
+    if workload == "dss-qry2":
+        import os
+
+        os._exit(99)
+    return workload
+
+
 def _raise_on_three(value):
     if value == 3:
         raise RuntimeError("task three is broken")
@@ -174,8 +180,7 @@ def _raise_on_three(value):
 
 class TestWorkerDeath:
     """The pool-survival contract: a dead worker costs one task slot,
-    never the batch (and never a hang, which is what
-    multiprocessing.Pool would do)."""
+    never the batch, and never a hang."""
 
     def teardown_method(self):
         shutdown_shared_pool()
@@ -204,6 +209,12 @@ class TestWorkerDeath:
         with pytest.raises(RuntimeError, match="task three is broken"):
             list(parallel_imap(_raise_on_three, [1, 2, 3, 4], jobs=2))
 
+    def test_workload_grid_raises_worker_crash_error(self):
+        """The figure runners' fan-out shares the contract: a slice
+        that kills its worker raises instead of hanging the run."""
+        with pytest.raises(WorkerCrashError, match="isolation"):
+            run_workload_grid(_die_on_dss, TINY, jobs=2)
+
     def test_bad_task_errors_value_rejected(self):
         with pytest.raises(ValueError, match="task_errors"):
             list(parallel_imap(_double, [1], task_errors="ignore"))
@@ -212,27 +223,25 @@ class TestWorkerDeath:
 class TestBitIdenticalResults:
     """The acceptance bar: fanned-out tables == sequential tables."""
 
+    def teardown_method(self):
+        shutdown_shared_pool()
+
     def test_fig3_tables_identical(self):
         sequential = run_fig3(TINY)
-        with ExperimentPool(jobs=2) as pool:
-            fanned = run_fig3(TINY, pool=pool)
+        fanned = run_fig3(TINY, jobs=2)
         assert fanned.to_table() == sequential.to_table()
         assert fanned.density == sequential.density
         assert fanned.discontinuity == sequential.discontinuity
 
     def test_fig10_tables_identical(self):
-        config = replace(TINY, workloads=("oltp-db2",))
-        sequential = run_fig10(config)
-        with ExperimentPool(jobs=2) as pool:
-            fanned = run_fig10(config, pool=pool)
+        sequential = run_fig10(TINY)
+        fanned = run_fig10(TINY, jobs=2)
         assert fanned.to_table() == sequential.to_table()
         assert fanned.coverage == sequential.coverage
         assert fanned.speedup == sequential.speedup
 
     def test_ablation_tables_identical(self):
-        config = replace(TINY, workloads=("dss-qry2",))
-        sequential = run_source_ablation(config)
-        with ExperimentPool(jobs=2) as pool:
-            fanned = run_source_ablation(config, pool=pool)
+        sequential = run_source_ablation(TINY)
+        fanned = run_source_ablation(TINY, jobs=2)
         assert fanned.to_table() == sequential.to_table()
         assert fanned.coverage == sequential.coverage

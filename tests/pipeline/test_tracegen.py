@@ -1,14 +1,9 @@
 """High-level trace generation and caching."""
 
-import pytest
+from dataclasses import replace
 
-from repro.pipeline.tracegen import (
-    cached_trace,
-    generate_trace,
-    multi_core_traces,
-    program_for,
-)
-from repro.workloads.spec import get_spec, scaled_spec
+from repro.pipeline.tracegen import cached_trace, generate_trace, program_for
+from repro.workloads.spec import get_spec
 
 
 class TestGenerateTrace:
@@ -19,7 +14,7 @@ class TestGenerateTrace:
         assert bundle.block_bytes == 64
 
     def test_accepts_spec_object(self):
-        spec = scaled_spec(get_spec("web-zeus"), 0.25)
+        spec = replace(get_spec("web-zeus"), code_footprint_kb=320)
         trace = generate_trace(spec, instructions=20_000, seed=3)
         assert trace.bundle.workload == "web-zeus"
         trace.bundle.validate()
@@ -38,12 +33,7 @@ class TestCaching:
         assert program_for("dss-qry17", 5) is program_for("dss-qry17", 5)
 
     def test_multi_core(self):
-        traces = multi_core_traces("dss-qry17", 20_000, 5, cores=2)
-        assert len(traces) == 2
-        assert traces[0].bundle.core == 0
-        assert traces[1].bundle.core == 1
+        traces = [cached_trace("dss-qry17", 20_000, 5, core)
+                  for core in range(2)]
+        assert [trace.bundle.core for trace in traces] == [0, 1]
         assert traces[0].bundle.retires != traces[1].bundle.retires
-
-    def test_multi_core_rejects_zero(self):
-        with pytest.raises(ValueError):
-            multi_core_traces("dss-qry17", 20_000, 5, cores=0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.prefetch import make_prefetcher
-from repro.prefetch.base import NullPrefetcher, as_block_list
+from repro.prefetch.base import NullPrefetcher
 from repro.prefetch.discontinuity import DiscontinuityPrefetcher
 from repro.prefetch.nextline import NextLinePrefetcher
 from repro.prefetch.stride import StridePrefetcher
@@ -19,11 +19,6 @@ class TestNull:
         engine = NullPrefetcher()
         assert demand(engine, 5) == []
         engine.on_retire(0, 0, True)  # must be a harmless no-op
-
-
-class TestAsBlockList:
-    def test_dedup_preserving_order(self):
-        assert as_block_list([3, 1, 3, 2, 1]) == [3, 1, 2]
 
 
 class TestNextLine:

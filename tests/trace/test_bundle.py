@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.trace.bundle import TraceBundle, merge_statistics
+from repro.trace.bundle import TraceBundle
 from repro.trace.records import FetchAccess, RetiredInstruction
 
 
@@ -30,24 +30,16 @@ def make_bundle():
 
 class TestBundleViews:
     def test_retire_blocks(self):
-        assert make_bundle().retire_blocks() == [0, 1, 4, 1]
+        assert make_bundle().retire_block_array().tolist() == [0, 1, 4, 1]
 
     def test_correct_path_accesses(self):
         assert len(make_bundle().correct_path_accesses()) == 4
-
-    def test_application_retires(self):
-        assert len(make_bundle().application_retires()) == 3
 
     def test_wrong_path_fraction(self):
         assert make_bundle().wrong_path_fraction() == pytest.approx(0.2)
 
     def test_footprint_blocks(self):
         assert make_bundle().footprint_blocks() == 3
-
-    def test_split_by_trap_level(self):
-        groups = make_bundle().split_by_trap_level()
-        assert set(groups) == {0, 1}
-        assert len(groups[0]) == 3
 
 
 class TestValidation:
@@ -95,17 +87,6 @@ class TestValidation:
         bundle.retires.append(RetiredInstruction(72, 0))
         assert len(bundle.retire_pc) == 4
         bundle.validate()
-
-
-class TestMergeStatistics:
-    def test_aggregates(self):
-        stats = merge_statistics([make_bundle(), make_bundle()])
-        assert stats["instructions"] == 80.0
-        assert stats["union_footprint_blocks"] == 3.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            merge_statistics([])
 
 
 class TestGeneratedBundles:

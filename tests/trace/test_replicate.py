@@ -210,16 +210,39 @@ class TestChunkEnv:
 
 
 class TestImportCost:
-    def test_cli_import_loads_no_http_client(self):
-        """The fetcher imports urllib on its first fetch: every repro
-        process imports this module through trace generation, and only
-        a fleet worker on a cold store ever fetches."""
-        src = Path(__file__).resolve().parents[2] / "src"
-        probe = ("import sys, repro.cli; print(' '.join(sorted(name for "
-                 "name in ('urllib.request', 'http.client', 'ssl') "
-                 "if name in sys.modules)))")
-        env = dict(os.environ, PYTHONPATH=str(src))
-        loaded = subprocess.run([sys.executable, "-c", probe], env=env,
-                                capture_output=True, text=True, timeout=120,
-                                check=True).stdout.split()
-        assert loaded == []
+    #: Modules a resumed ``repro sweep run`` must not load: the linter,
+    #: the figure and ablation runners, the daemon, the distributed
+    #: tier, and the HTTP client stack (the trace fetcher imports
+    #: urllib on its first fetch, which only a fleet worker on a cold
+    #: store ever makes).
+    FORBIDDEN = ("repro.analysis", "repro.experiments.fig2",
+                 "repro.experiments.fig3", "repro.experiments.fig7",
+                 "repro.experiments.fig8", "repro.experiments.fig9",
+                 "repro.experiments.fig10", "repro.experiments.ablations",
+                 "repro.experiments.runner", "repro.service", "repro.dist",
+                 "urllib.request", "http.client", "ssl")
+
+    def test_cli_import_loads_no_http_client(self, tmp_path):
+        """A fresh process runs ``repro sweep run --limit 0`` (a resumed
+        sweep's import path, computing no point) and must load only
+        what that command runs."""
+        repo = Path(__file__).resolve().parents[2]
+        probe = (
+            "import sys\n"
+            "from repro import cli\n"
+            "code = cli.main(['sweep', 'run', '--spec',\n"
+            "                 'examples/scenarios/ci-smoke.yaml',\n"
+            f"                 '--out', {str(tmp_path / 'sweep')!r},\n"
+            "                 '--limit', '0'])\n"
+            f"forbidden = {self.FORBIDDEN!r}\n"
+            "print(code, *sorted(name for name in sys.modules\n"
+            "                    if name in forbidden\n"
+            "                    or name.startswith(tuple(\n"
+            "                        f'{prefix}.' for prefix in forbidden))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        stdout = subprocess.run([sys.executable, "-c", probe], env=env,
+                                cwd=repo, capture_output=True, text=True,
+                                timeout=120, check=True).stdout
+        # Exit code 1: the sweep stays incomplete (and resumable).
+        assert stdout.splitlines()[-1].split() == ["1"]

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.trace.stats import (
-    analyze_block_stream,
-    repetition_score,
-    reuse_distance_histogram,
-    run_length_distribution,
-    stream_overlap,
-    summarize_streams,
-)
+from repro.trace.stats import analyze_block_stream, repetition_score
 
 
 class TestAnalyzeBlockStream:
@@ -39,45 +32,7 @@ class TestAnalyzeBlockStream:
             "discontinuities", "reuse_mean"}
 
 
-class TestReuseDistance:
-    def test_first_touch_bin(self):
-        histogram = reuse_distance_histogram([1, 2, 3])
-        assert histogram[-1] == 3
-
-    def test_distance_binning(self):
-        histogram = reuse_distance_histogram([5, 5])
-        assert histogram[0] == 1  # distance 1 -> bin 0
-
-    def test_long_distance(self):
-        stream = [7] + list(range(100, 100 + 16)) + [7]
-        histogram = reuse_distance_histogram(stream)
-        assert histogram[4] == 1  # distance 17 -> bin 4
-
-
-class TestRunLengths:
-    def test_single_run(self):
-        assert run_length_distribution([3, 4, 5]) == {3: 1}
-
-    def test_mixed_runs(self):
-        distribution = run_length_distribution([0, 1, 9, 10, 11, 50])
-        assert distribution[2] == 1
-        assert distribution[3] == 1
-        assert distribution[1] == 1
-
-    def test_empty(self):
-        assert run_length_distribution([]) == {}
-
-
 class TestOverlapAndRepetition:
-    def test_overlap_identical(self):
-        assert stream_overlap([1, 2], [2, 1]) == 1.0
-
-    def test_overlap_disjoint(self):
-        assert stream_overlap([1], [2]) == 0.0
-
-    def test_overlap_empty(self):
-        assert stream_overlap([], []) == 1.0
-
     def test_repetition_of_loop(self):
         stream = [1, 2, 3, 4] * 32
         assert repetition_score(stream) > 0.9
@@ -88,17 +43,12 @@ class TestOverlapAndRepetition:
     def test_repetition_short_stream(self):
         assert repetition_score([1, 2]) == 0.0
 
-    def test_summarize(self):
-        summary = summarize_streams({"a": [1, 2], "b": []})
-        assert summary["a"].length == 2
-        assert summary["b"].length == 0
-
 
 class TestRealStreamProperties:
     def test_retire_stream_is_loopier_than_random(self, oltp_trace):
-        blocks = oltp_trace.bundle.retire_blocks()
+        blocks = oltp_trace.bundle.retire_block_array()
         assert repetition_score(blocks[:20000]) > 0.3
 
     def test_server_streams_have_discontinuities(self, web_trace):
-        stats = analyze_block_stream(web_trace.bundle.retire_blocks())
+        stats = analyze_block_stream(web_trace.bundle.retire_block_array())
         assert 0.0 < stats.sequential_fraction < 0.9

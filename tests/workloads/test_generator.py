@@ -8,7 +8,7 @@ from repro.workloads.generator import (
     HANDLER_TEXT_BASE,
     build_program,
 )
-from repro.workloads.program import BlockKind, function_spanning
+from repro.workloads.program import BlockKind
 from repro.workloads.spec import PAPER_WORKLOADS, get_spec
 
 
@@ -97,11 +97,6 @@ class TestProgramStructure:
 
     def test_block_at_gap_returns_none(self, small_program):
         assert small_program.block_at(APPLICATION_TEXT_BASE - 64) is None
-
-    def test_function_spanning(self, small_program):
-        function = small_program.functions[3]
-        assert function_spanning(small_program.functions,
-                                 function.entry) is function
 
 
 class TestDeterminismAndScale:

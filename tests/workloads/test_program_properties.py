@@ -4,6 +4,8 @@ These sweep (workload, seed) combinations to check invariants that the
 example-based tests only probe at one point.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,10 +13,14 @@ from repro.common.addressing import INSTRUCTION_BYTES
 from repro.workloads.executor import ProgramExecutor
 from repro.workloads.generator import build_program
 from repro.workloads.program import BlockKind
-from repro.workloads.spec import WORKLOAD_NAMES, get_spec, scaled_spec
+from repro.workloads.spec import WORKLOAD_NAMES, get_spec
 
-# Scaled-down specs keep generation affordable under hypothesis.
-_SPECS = {name: scaled_spec(get_spec(name), 0.1) for name in WORKLOAD_NAMES}
+# Specs with a tenth of the code footprint keep generation affordable
+# under hypothesis.
+_SPECS = {name: replace(get_spec(name),
+                        code_footprint_kb=int(get_spec(name).code_footprint_kb
+                                              * 0.1))
+          for name in WORKLOAD_NAMES}
 
 
 @settings(max_examples=8, deadline=None)

@@ -7,7 +7,6 @@ from repro.workloads.spec import (
     WORKLOAD_GROUPS,
     WORKLOAD_NAMES,
     get_spec,
-    scaled_spec,
 )
 
 
@@ -57,17 +56,3 @@ class TestValidation:
 
         with pytest.raises(ValueError):
             replace(get_spec("oltp-db2"), call_levels=1)
-
-
-class TestScaling:
-    def test_scaled_spec_shrinks(self):
-        spec = get_spec("oltp-db2")
-        small = scaled_spec(spec, 0.25)
-        assert small.code_footprint_kb == spec.code_footprint_kb // 4
-
-    def test_scaled_spec_floor(self):
-        assert scaled_spec(get_spec("dss-qry2"), 1e-9).code_footprint_kb == 64
-
-    def test_scaled_spec_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            scaled_spec(get_spec("dss-qry2"), 0.0)
