@@ -11,7 +11,7 @@ per region record).
 
 from repro import CacheConfig
 from repro.pipeline.tracegen import cached_trace
-from repro.sim import build_view_events, measure_pif_predictability
+from repro.sim.coverage import build_view_events, measure_pif_predictability
 
 WORKLOADS = ("oltp-db2", "web-apache", "dss-qry2")
 SIZES = (256, 1024, 4096, 16384, 65536)

@@ -14,7 +14,8 @@ Sweeps the interrupt rate of a Web workload and measures, per rate:
 from dataclasses import replace
 
 from repro import CacheConfig, PIFConfig, ProactiveInstructionFetch, generate_trace
-from repro.sim import build_view_events, measure_stream_predictability, run_prefetch_simulation
+from repro.sim import run_prefetch_simulation
+from repro.sim.coverage import build_view_events, measure_stream_predictability
 from repro.trace.records import StreamKind
 from repro.workloads.spec import get_spec
 

@@ -8,12 +8,8 @@ wrong-path noise — Figure 1 (right), live from the model.
 """
 
 from repro import CacheConfig, generate_trace
-from repro.sim import (
-    build_view_events,
-    density_distribution,
-    measure_stream_predictability,
-    trigger_offset_profile,
-)
+from repro.sim.coverage import build_view_events, measure_stream_predictability
+from repro.sim.regionstats import density_distribution, trigger_offset_profile
 from repro.trace.records import StreamKind
 from repro.trace.stats import analyze_block_stream, repetition_score
 

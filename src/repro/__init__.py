@@ -17,20 +17,6 @@ Quick start::
     print(f"miss coverage: {result.coverage():.1%}")
 """
 
-from .common.config import (
-    BranchPredictorConfig,
-    CacheConfig,
-    MemoryConfig,
-    PIFConfig,
-    PipelineConfig,
-    SystemConfig,
-)
-from .core.pif import AccessOrderPIF, ProactiveInstructionFetch
-from .pipeline.tracegen import GeneratedTrace, cached_trace, generate_trace
-from .prefetch import make_prefetcher
-from .trace.bundle import TraceBundle
-from .workloads.spec import PAPER_WORKLOADS, WORKLOAD_NAMES, get_spec
-
 __version__ = "1.1.0"
 
 __all__ = [
@@ -52,3 +38,24 @@ __all__ = [
     "get_spec",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # The re-exports resolve on first use (PEP 562), so a command that
+    # needs none of the simulator (``repro lint``, say) does not import
+    # it.  Each name is defined in one of these modules; the others only
+    # re-import the same object.
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import prefetch
+    from .common import config
+    from .core import pif
+    from .pipeline import tracegen
+    from .trace import bundle
+    from .workloads import spec
+
+    for module in (config, pif, tracegen, prefetch, bundle, spec):
+        if hasattr(module, name):
+            globals()[name] = getattr(module, name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -356,4 +357,13 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return run(args)
+    try:
+        code = run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``... --list-rules | head``).  Point
+        # stdout at os.devnull so the flush at exit cannot fail again,
+        # and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code

@@ -52,18 +52,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, TYPE_CHECKING, Tuple
 
+# Module top holds only what building the parser needs; each command
+# imports what it runs, so parsing the command line (and ``repro lint``)
+# loads none of the simulator.
 from .common.config import CacheConfig, PIFConfig
-from .core.pif import ProactiveInstructionFetch
-from .experiments.parallel import jobs_argument_type, parallel_map
-from .pipeline.tracegen import cached_trace, generate_trace
-from .prefetch import make_prefetcher
-from .sim.engine import run_multi_prefetch_simulation
-from .trace.store import TraceKey, TraceStore, generator_version_hash
+from .experiments.parallel import jobs_argument_type
 from .workloads.spec import WORKLOAD_NAMES
+
+if TYPE_CHECKING:
+    from .trace.store import TraceStore
 
 #: Engine names the CLI accepts (PIF gets the experiment-scale window).
 ENGINE_NAMES = ("none", "next-line", "next-line-miss", "stride",
@@ -75,6 +77,9 @@ _jobs_value = jobs_argument_type
 
 
 def _engine(name: str):
+    from .core.pif import ProactiveInstructionFetch
+    from .prefetch import make_prefetcher
+
     if name == "pif":
         return ProactiveInstructionFetch(PIFConfig(sab_window_regions=3))
     return make_prefetcher(name)
@@ -97,6 +102,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Generate and characterize one trace."""
+    from .pipeline.tracegen import generate_trace
     from .trace.serialize import save_bundle
     from .trace.stats import analyze_block_stream
 
@@ -126,6 +132,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     baseline misses eliminated / of prefetch fills referenced; the miss
     counts cover the post-warmup measurement window only.
     """
+    from .pipeline.tracegen import cached_trace
     from .sim.tracesim import run_prefetch_simulation
 
     bundle = cached_trace(args.workload, args.instructions, args.seed).bundle
@@ -157,6 +164,9 @@ class _CompareTask(NamedTuple):
 
 def _compare_row(task: _CompareTask) -> str:
     """Render one workload's coverage cells (single trace walk)."""
+    from .pipeline.tracegen import cached_trace
+    from .sim.engine import run_multi_prefetch_simulation
+
     bundle = cached_trace(task.workload, task.instructions, task.seed).bundle
     results = run_multi_prefetch_simulation(
         bundle, [_engine(name) for name in task.engines],
@@ -172,6 +182,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     misses the engine eliminates in the measurement window (signed:
     a polluting engine prints negative).
     """
+    from .experiments.parallel import parallel_map
+
     engines = tuple(args.engines.split(","))
     for name in engines:
         if name not in ENGINE_NAMES:
@@ -194,6 +206,8 @@ def _store_for(args: argparse.Namespace) -> Optional[TraceStore]:
     """The store a ``traces`` subcommand operates on (``--store`` wins
     over the environment).  Prints the shared disabled-store error and
     returns None when persistence is off, so callers just exit 2."""
+    from .trace.store import TraceStore
+
     if args.store is not None:
         return TraceStore(args.store)
     store = TraceStore.from_env()
@@ -222,6 +236,9 @@ def _build_one(task: _BuildTask) -> str:
     Corrupt archives still self-heal on the consumer path
     (``cached_trace`` -> ``store.get``).
     """
+    from .pipeline.tracegen import generate_trace
+    from .trace.store import TraceKey, TraceStore
+
     store = TraceStore(task.store_root)
     key = TraceKey(task.workload, task.instructions, task.seed, task.core)
     if store.path_for(key).exists():
@@ -242,6 +259,7 @@ def cmd_traces_build(args: argparse.Namespace) -> int:
     ``python -m repro.experiments`` run will look up.
     """
     from .experiments.common import QUICK_CONFIG, ExperimentConfig
+    from .experiments.parallel import parallel_map
 
     store = _store_for(args)
     if store is None:
@@ -283,6 +301,8 @@ def cmd_traces_ls(args: argparse.Namespace) -> int:
     ``stale``, or ``foreign``; key fields are null for foreign files) —
     the machine-readable surface for tooling and CI scripts.
     """
+    from .trace.store import generator_version_hash
+
     store = _store_for(args)
     if store is None:
         return 2
@@ -540,7 +560,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     is persisted back to ``queued`` and the next start on the same
     ``--data-dir`` resumes it with zero recomputed points.
     """
-    import os
     import signal
     import threading
 
@@ -603,8 +622,6 @@ def cmd_worker(args: argparse.Namespace) -> int:
     generator-version mismatch with the coordinator (when fetching is
     off, or the mismatch persists with an override installed).
     """
-    import os
-
     from .dist.worker import run_worker
     from .trace.store import TraceStore
 
@@ -924,7 +941,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``).  Point stdout at
+        # os.devnull so the flush at exit cannot fail again, and exit 1
+        # as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -15,8 +15,9 @@ Layering (one-way imports, mirroring :mod:`repro.service`):
   machine: pending → leased → done / requeued / quarantined) and
   :func:`run_distributed_sweep`, the drop-in sibling of
   :func:`repro.scenarios.runner.run_sweep`;
-* :mod:`repro.dist.http` — the coordinator's loopback HTTP server,
-  serving the ``/v1/dist/*`` routes documented in ``docs/api.md``;
+* the coordinator's loopback HTTP server is :mod:`repro.service.http`
+  (the ``repro serve`` server, in its coordinator role), serving the
+  ``/v1/dist/*`` routes documented in ``docs/api.md``;
 * :mod:`repro.dist.local` — the ``--transport local`` supervisor:
   worker *subprocesses* speaking the exact same wire protocol over a
   loopback socket, so the whole tier runs in CI;

@@ -299,10 +299,10 @@ def run_distributed_sweep(spec: ScenarioSpec, out: Union[str, Path], *,
     board = LeaseBoard(plan, max_retries=max_retries,
                        lease_timeout=lease_timeout, emit=emit)
 
-    from .http import build_coordinator_server  # avoid import cycle
+    from ..service.http import build_server  # avoid import cycle
     store = TraceStore.from_env()
     export = TraceExport(store.root) if store is not None else None
-    server = build_coordinator_server(host, port, board, export)
+    server = build_server(host, port, board=board, export=export)
     listener = threading.Thread(target=server.serve_forever,
                                 name="dist-coordinator", daemon=True)
     listener.start()

@@ -70,9 +70,7 @@ from multiprocessing import util as _mp_util
 from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple, Union)
 
-from .. import faults
 from ..common.rng import child_seed
-from ..trace import store as trace_store
 
 #: Pool rebuilds tolerated per :func:`parallel_imap` call before the
 #: remaining tasks fall back to one-task-per-pool isolation mode.
@@ -144,6 +142,9 @@ def _attach_worker(store_env: Optional[str], generator_hash: str,
     the worker's injection counters are reset — a forked worker must
     arm a fresh plan, not inherit the parent's spent counters.
     """
+    from .. import faults
+    from ..trace import store as trace_store
+
     if store_env is not None:
         # This IS the sanctioned propagation mechanism: the worker's
         # environment is overwritten with the parent's snapshot before
@@ -161,6 +162,11 @@ def _attach_worker(store_env: Optional[str], generator_hash: str,
 
 
 def _initargs() -> Tuple[Optional[str], str, Optional[str]]:
+    # Imported here, not at module top, so that ``--jobs``'s argparse
+    # type (:func:`jobs_argument_type`) loads neither.
+    from .. import faults
+    from ..trace import store as trace_store
+
     # Parent-side snapshot that _attach_worker re-applies in every
     # worker; reading the environment here is what makes worker-side
     # reads unnecessary.

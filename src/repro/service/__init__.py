@@ -16,8 +16,10 @@ Layering (stdlib only — no new dependencies):
   JSON file per job, sweep output in the PR 4/5 resumable store);
 * :mod:`repro.service.service` — bounded queue, background worker,
   graceful shutdown, crash recovery;
-* :mod:`repro.service.http` — ``ThreadingHTTPServer`` adapter: routing,
-  body limits, error mapping, structured request logging.
+* :mod:`repro.service.http` — the one ``ThreadingHTTPServer``:
+  routing, body limits, error mapping, structured request logging.
+  The same server is the sweep coordinator of :mod:`repro.dist` when a
+  lease board is attached instead of a service.
 
 The complete API reference (routes, payloads, state machine, error
 codes, curl walkthrough) is ``docs/api.md``; design rationale is in

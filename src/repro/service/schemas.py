@@ -3,9 +3,9 @@
 This module is the single source of truth the rest of the repo checks
 itself against:
 
-* :data:`ROUTES` — every (method, path pattern) the daemon serves.
-  ``docs/api.md`` documents exactly these routes, and
-  ``tests/test_docs.py`` asserts the two sets are equal, so a route
+* :data:`ROUTES` — every (method, path pattern) the daemon or a sweep
+  coordinator serves.  ``docs/api.md`` documents exactly these routes,
+  and ``tests/test_docs.py`` asserts the two sets are equal, so a route
   added (or renamed) in code without a docs update fails tier-1 — the
   same parse-the-docs rigor the README command test applies.
 * :data:`RESPONSE_SCHEMAS` — the exact top-level key set of every JSON
@@ -51,9 +51,10 @@ class Route(NamedTuple):
 
 
 #: The complete route table, in documentation order.  The ``/v1/dist/*``
-#: rows are the distributed-sweep coordinator's routes
-#: (:mod:`repro.dist.http` — served by ``repro sweep run --transport
-#: local|http``, not by the daemon, which answers them with 409); they
+#: rows are the distributed-sweep coordinator's routes (served by
+#: :mod:`repro.service.http` in its coordinator role, which ``repro
+#: sweep run --transport local|http`` binds; the daemon answers them
+#: with 409, and a coordinator answers the job routes with 404); they
 #: live in this table so the docs/schema/test coupling covers the whole
 #: wire surface.
 ROUTES: Tuple[Route, ...] = (

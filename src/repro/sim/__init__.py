@@ -1,50 +1,15 @@
-"""Simulation layer: trace-driven prefetch sim, coverage oracles, timing."""
+"""Simulation layer: trace-driven prefetch sim and timing.
 
-from .coverage import (
-    OracleResult,
-    PIFPredictorOracle,
-    StreamEvent,
-    TemporalStreamOracle,
-    ViewEvents,
-    build_view_events,
-    measure_pif_predictability,
-    measure_stream_predictability,
-)
+The figure-only oracles (:mod:`repro.sim.coverage`,
+:mod:`repro.sim.regionstats`) are imported from their own modules, so
+sweeps and their workers never load them.
+"""
+
 from .engine import run_multi_prefetch_simulation
-from .regionstats import (
-    DENSITY_BUCKETS,
-    GROUP_BUCKETS,
-    OFFSET_GEOMETRY,
-    WIDE_GEOMETRY,
-    contiguous_groups,
-    density_distribution,
-    discontinuity_distribution,
-    merge_distributions,
-    regions_of,
-    trigger_offset_profile,
-)
 from .timing import TimingResult, run_timing_simulation, speedup_comparison
 from .tracesim import PrefetchSimResult, run_prefetch_simulation
 
 __all__ = [
-    "OracleResult",
-    "PIFPredictorOracle",
-    "StreamEvent",
-    "TemporalStreamOracle",
-    "ViewEvents",
-    "build_view_events",
-    "measure_pif_predictability",
-    "measure_stream_predictability",
-    "DENSITY_BUCKETS",
-    "GROUP_BUCKETS",
-    "OFFSET_GEOMETRY",
-    "WIDE_GEOMETRY",
-    "contiguous_groups",
-    "density_distribution",
-    "discontinuity_distribution",
-    "merge_distributions",
-    "regions_of",
-    "trigger_offset_profile",
     "TimingResult",
     "run_timing_simulation",
     "speedup_comparison",

@@ -9,7 +9,7 @@ module closes the gap with a classic content-distribution pair:
   coordinator's store root, advertises every parseable archive as
   ``(key, size, sha256)`` over ``GET /v1/dist/traces``, and serves
   byte ranges of individual archives over
-  ``GET /v1/dist/traces/{key}`` (:mod:`repro.dist.http`).  Transfer
+  ``GET /v1/dist/traces/{key}`` (:mod:`repro.service.http`).  Transfer
   hashes are streamed once per ``(name, size, mtime)`` and cached.
 
 * :class:`TraceFetcher` — the worker side.  Consulted by
@@ -344,11 +344,26 @@ class TraceFetcher:
         spent: persistent corruption or a dead link must surface as a
         structured task failure, never as a wrong trace.
         """
+        import fcntl  # POSIX advisory locks; only fetching workers load it
+
         target = store.path_for(key)
         name = target.name
         staging = store.root / PARTIAL_DIR
         staging.mkdir(parents=True, exist_ok=True)
-        part = staging / f"{name}.part"
+        # Workers sharing one replica store (a local fleet's) can miss
+        # the same archive at once.  They take turns on a per-archive
+        # lock, so no partial file is ever appended to by two fetchers,
+        # and one that waited finds the archive already admitted.
+        with open(staging / f"{name}.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            if target.exists():
+                return True
+            return self._fetch(name, target, staging / f"{name}.part",
+                               store)
+
+    def _fetch(self, name: str, target: Path, part: Path,
+               store: TraceStore) -> bool:
+        """:meth:`fetch`'s retry loop, run under the archive's lock."""
         failure: Optional[Exception] = None
         for attempt in range(self.max_attempts):
             if attempt:

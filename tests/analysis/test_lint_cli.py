@@ -8,7 +8,12 @@ deliberately corrupted copy of a real kernel module must be caught.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from repro.analysis import BASELINE_NAME, check_source
 from repro.cli import build_parser, main
@@ -34,8 +39,6 @@ class TestParser:
         assert args.output_format == "json"
 
     def test_rejects_unknown_format(self):
-        import pytest
-
         with pytest.raises(SystemExit):
             build_parser().parse_args(["lint", "--format", "yaml"])
 
@@ -70,6 +73,26 @@ class TestExitCodes:
         for code in ("RL001", "RL002", "RL003", "RL004",
                      "RL005", "RL006", "RL007", "RL008", "RL009"):
             assert code in out
+
+    @pytest.mark.parametrize("module", [["repro", "lint"],
+                                        ["repro.analysis"]])
+    def test_closed_stdout_pipe_exits_without_a_traceback(self, module):
+        """``repro lint --list-rules | head -1``: a reader that goes
+        away must cost exit code 1, not a ``BrokenPipeError`` traceback.
+        The pipe's read end is closed before the spawn, so the first
+        write fails on every run."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", *module, "--list-rules"],
+                stdout=write_end, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+                timeout=60)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in result.stderr.decode()
+        assert result.returncode == 1
 
 
 class TestJsonFormat:

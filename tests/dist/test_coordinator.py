@@ -4,11 +4,13 @@ The board is exercised directly (no sockets, no subprocesses): grant
 order, heartbeat renewal, stale-report acks, duplicate-completion
 dedup, retry → quarantine progression, dead-worker expiry, and the
 never-wedge backstop.  One test then drives the same transitions over
-a real :class:`CoordinatorServer` socket to pin the HTTP mapping
+a real :class:`SweepServer` socket to pin the HTTP mapping
 (200/400/404/405-ish shapes) without involving worker subprocesses.
 """
 
 import json
+import re
+import socket
 import threading
 import time
 import urllib.error
@@ -17,12 +19,13 @@ import urllib.request
 import pytest
 
 from repro.dist.coordinator import LeaseBoard, run_distributed_sweep
-from repro.dist.http import build_coordinator_server
 from repro.dist.protocol import (Heartbeat, TaskFailed, TaskResult,
                                  decode_document, encode)
 from repro.experiments.parallel import WORKER_DIED
 from repro.scenarios import ResultsStore, parse_spec
 from repro.scenarios.runner import _run_group, prepare_sweep
+from repro.service.http import MAX_FRAME_BYTES, build_server
+from repro.service.schemas import ROUTES
 
 SMALL = {
     "name": "board",
@@ -34,6 +37,15 @@ SMALL = {
                                                "sab_window_regions": 3}}],
     },
 }
+
+
+def raw_status(port, text):
+    """Hand-rolled request bytes (for frames urllib refuses to send,
+    like a POST with no Content-Length) → the status code."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(text.encode())
+        reply = sock.makefile("rb").readline().decode()
+    return int(reply.split()[1])
 
 
 def make_board(tmp_path, **kwargs):
@@ -203,7 +215,7 @@ class TestLoopbackHTTP:
 
     def test_wire_transitions_over_a_real_socket(self, tmp_path):
         board, plan = make_board(tmp_path)
-        server = build_coordinator_server("127.0.0.1", 0, board)
+        server = build_server("127.0.0.1", 0, board=board)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         host, port = server.server_address[:2]
@@ -247,6 +259,38 @@ class TestLoopbackHTTP:
             with pytest.raises(urllib.error.HTTPError) as error:
                 self._post(url, "/v1/sweeps", b"{}")
             assert error.value.code == 404
+
+            # Every job route in the shared table answers 404 here.
+            job_routes = [route for route in ROUTES
+                          if not route.pattern.startswith("/v1/dist/")]
+            assert len(job_routes) == 6
+            for route in job_routes:
+                path = re.sub(r"\{[a-z]+\}", "job-000001-deadbeef",
+                              route.pattern)
+                request = urllib.request.Request(
+                    url + path, data=b"{}", method=route.method)
+                with pytest.raises(urllib.error.HTTPError) as error:
+                    urllib.request.urlopen(request, timeout=10)
+                assert error.value.code == 404, route
+                assert "not served by the sweep coordinator" in json.loads(
+                    error.value.read())["error"]
+
+            # A known path with the wrong method is a 405 naming the
+            # right one.
+            with pytest.raises(urllib.error.HTTPError) as error:
+                urllib.request.urlopen(url + "/v1/dist/lease", timeout=10)
+            assert error.value.code == 405
+            assert error.value.headers["Allow"] == "POST"
+
+            # Body limits are checked before reading: no Content-Length
+            # is a 411, a declared frame over the cap a 413.
+            assert raw_status(port, "POST /v1/dist/records HTTP/1.1\r\n"
+                                    "Host: t\r\nConnection: close\r\n"
+                                    "\r\n") == 411
+            assert raw_status(port, "POST /v1/dist/records HTTP/1.1\r\n"
+                                    "Host: t\r\nContent-Length: "
+                                    f"{MAX_FRAME_BYTES + 1}\r\n"
+                                    "Connection: close\r\n\r\n") == 413
         finally:
             server.shutdown()
             thread.join(timeout=5)

@@ -23,12 +23,12 @@ import urllib.request
 import pytest
 
 from repro.dist.coordinator import LeaseBoard, run_distributed_sweep
-from repro.dist.http import build_coordinator_server
 from repro.dist.protocol import ProtocolError, trace_ad_from_wire
 from repro.dist.worker import run_worker
 from repro.pipeline.tracegen import cached_trace
 from repro.scenarios import parse_spec, run_sweep, verify_store
 from repro.scenarios.runner import prepare_sweep
+from repro.service.http import build_server
 from repro.service.schemas import validate_payload
 from repro.trace.replicate import SHA_HEADER, SIZE_HEADER, TraceExport
 from repro.trace.serialize import archive_sha256
@@ -56,7 +56,7 @@ def spec():
 
 @contextlib.contextmanager
 def serving(board=None, export=None):
-    server = build_coordinator_server("127.0.0.1", 0, board, export)
+    server = build_server("127.0.0.1", 0, board=board, export=export)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]

@@ -12,6 +12,7 @@ submit distinct sweeps against one daemon and every resulting store
 
 import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -22,7 +23,7 @@ import pytest
 from repro.scenarios import (ResultsStore, format_csv, format_markdown,
                              parse_spec, run_sweep, summarize)
 from repro.service import ServiceConfig, SweepService, build_server
-from repro.service.schemas import validate_payload
+from repro.service.schemas import ROUTES, validate_payload
 
 quiet = {"log": lambda event: None}
 
@@ -166,11 +167,15 @@ class TestRoutingAndSchemas:
         documented route table) but refuses them with a structured 409
         pointing at the sweep coordinator — they are served only by
         ``repro sweep run --transport local|http``."""
+        dist_routes = [route for route in ROUTES
+                       if route.pattern.startswith("/v1/dist/")]
+        assert len(dist_routes) == 5
         with serve(tmp_path, start=False) as (port, _):
-            for path in ("/v1/dist/lease", "/v1/dist/records",
-                         "/v1/dist/heartbeat"):
+            for route in dist_routes:
+                path = re.sub(r"\{[a-z]+\}", "x.npz", route.pattern)
                 status, payload = request_json(
-                    port, "POST", path, body=json.dumps({"worker": "w0"}))
+                    port, route.method, path,
+                    body=json.dumps({"worker": "w0"}))
                 assert status == 409
                 validate_payload("error", payload)
                 assert "sweep coordinator" in payload["error"]

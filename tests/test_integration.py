@@ -10,12 +10,8 @@ from repro import (
     generate_trace,
     make_prefetcher,
 )
-from repro.sim import (
-    build_view_events,
-    measure_pif_predictability,
-    run_prefetch_simulation,
-    speedup_comparison,
-)
+from repro.sim import run_prefetch_simulation, speedup_comparison
+from repro.sim.coverage import build_view_events, measure_pif_predictability
 
 CACHE = CacheConfig(capacity_bytes=16 * 1024, associativity=2)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.dist.http import build_coordinator_server
+from repro.service.http import build_server
 from repro.trace.bundle import TraceBundle
 from repro.trace.records import FetchAccess, RetiredInstruction
 from repro.trace.replicate import (DEFAULT_CHUNK_BYTES, ReplicationError,
@@ -35,7 +35,7 @@ def bundle_for(key: TraceKey) -> TraceBundle:
 def serving(export):
     """A live coordinator serving only the trace routes (no board —
     the lease routes are never exercised here)."""
-    server = build_coordinator_server("127.0.0.1", 0, None, export)
+    server = build_server("127.0.0.1", 0, export=export)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -220,21 +220,23 @@ class TestImportCost:
                  "repro.experiments.fig8", "repro.experiments.fig9",
                  "repro.experiments.fig10", "repro.experiments.ablations",
                  "repro.experiments.runner", "repro.service", "repro.dist",
+                 "repro.sim.coverage", "repro.sim.regionstats",
                  "urllib.request", "http.client", "ssl")
 
-    def test_cli_import_loads_no_http_client(self, tmp_path):
-        """A fresh process runs ``repro sweep run --limit 0`` (a resumed
-        sweep's import path, computing no point) and must load only
-        what that command runs."""
+    #: Modules ``repro lint`` must not load: it reads source text and
+    #: runs none of the simulator.
+    LINT_FORBIDDEN = ("numpy", "repro.sim", "repro.core", "repro.pipeline",
+                      "repro.trace")
+
+    def _run_fresh(self, argv, forbidden):
+        """``repro.cli.main(argv)`` in a fresh process → its exit code
+        followed by the loaded modules in (or under) ``forbidden``."""
         repo = Path(__file__).resolve().parents[2]
         probe = (
             "import sys\n"
             "from repro import cli\n"
-            "code = cli.main(['sweep', 'run', '--spec',\n"
-            "                 'examples/scenarios/ci-smoke.yaml',\n"
-            f"                 '--out', {str(tmp_path / 'sweep')!r},\n"
-            "                 '--limit', '0'])\n"
-            f"forbidden = {self.FORBIDDEN!r}\n"
+            f"code = cli.main({argv!r})\n"
+            f"forbidden = {forbidden!r}\n"
             "print(code, *sorted(name for name in sys.modules\n"
             "                    if name in forbidden\n"
             "                    or name.startswith(tuple(\n"
@@ -244,5 +246,21 @@ class TestImportCost:
         stdout = subprocess.run([sys.executable, "-c", probe], env=env,
                                 cwd=repo, capture_output=True, text=True,
                                 timeout=120, check=True).stdout
+        return stdout.splitlines()[-1].split()
+
+    def test_cli_import_loads_no_http_client(self, tmp_path):
+        """A fresh process runs ``repro sweep run --limit 0`` (a resumed
+        sweep's import path, computing no point) and must load only
+        what that command runs."""
+        loaded = self._run_fresh(
+            ["sweep", "run", "--spec", "examples/scenarios/ci-smoke.yaml",
+             "--out", str(tmp_path / "sweep"), "--limit", "0"],
+            self.FORBIDDEN)
         # Exit code 1: the sweep stays incomplete (and resumable).
-        assert stdout.splitlines()[-1].split() == ["1"]
+        assert loaded == ["1"]
+
+    def test_lint_loads_no_simulator(self):
+        """``repro lint --list-rules`` in a fresh process loads neither
+        numpy nor any simulator package."""
+        assert self._run_fresh(["lint", "--list-rules"],
+                               self.LINT_FORBIDDEN) == ["0"]
