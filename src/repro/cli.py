@@ -444,7 +444,7 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
         summary = run_sweep(spec, args.out, jobs=args.jobs,
                             limit=args.limit, max_retries=args.max_retries)
     else:
-        from .dist import run_distributed_sweep
+        from .dist.coordinator import run_distributed_sweep
 
         summary = run_distributed_sweep(
             spec, args.out, transport=args.transport,

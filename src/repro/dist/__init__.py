@@ -11,8 +11,9 @@ Layering (one-way imports, mirroring :mod:`repro.service`):
   point-records, task-failed, heartbeat), canonical JSON encoding, and
   the strict decoder that turns any malformed frame into a
   :class:`~repro.dist.protocol.ProtocolError`;
-* :mod:`repro.dist.coordinator` — :class:`LeaseBoard` (the lease state
-  machine: pending → leased → done / requeued / quarantined) and
+* :mod:`repro.dist.coordinator` — :class:`LeaseBoard` (the wire face
+  of the sweep's one retry/quarantine state machine,
+  :class:`repro.scenarios.runner.SweepBoard`) and
   :func:`run_distributed_sweep`, the drop-in sibling of
   :func:`repro.scenarios.runner.run_sweep`;
 * the coordinator's loopback HTTP server is :mod:`repro.service.http`
@@ -30,27 +31,9 @@ so every record is bit-identical whichever transport computed it, and
 serial, ``--jobs N``, and distributed stores converge to the same
 canonical bytes under ``repro sweep verify --repair``
 (``tests/dist/test_differential.py`` locks this).
+
+The package re-exports nothing: import the submodule you need, so that
+loading the wire documents (what ``repro serve`` does through
+:mod:`repro.service.http`) does not load the coordinator, the worker
+and its HTTP client.
 """
-
-from .coordinator import (DEFAULT_LEASE_TIMEOUT, LeaseBoard,
-                          run_distributed_sweep)
-from .protocol import (Heartbeat, ProtocolError, TaskFailed, TaskLease,
-                       TaskResult, decode, decode_document, encode)
-from .worker import CoordinatorClient, TransportError, run_worker
-
-__all__ = [
-    "DEFAULT_LEASE_TIMEOUT",
-    "LeaseBoard",
-    "run_distributed_sweep",
-    "Heartbeat",
-    "ProtocolError",
-    "TaskFailed",
-    "TaskLease",
-    "TaskResult",
-    "decode",
-    "decode_document",
-    "encode",
-    "CoordinatorClient",
-    "TransportError",
-    "run_worker",
-]

@@ -1,24 +1,25 @@
-"""The sweep coordinator: lease out group tasks, merge records back.
+"""The sweep coordinator: lease group tasks to pulling workers.
 
-:class:`LeaseBoard` is the lease state machine, shared (under one lock)
-by every coordinator HTTP request thread:
+:class:`LeaseBoard` is the wire face of the sweep's one retry/quarantine
+state machine, :class:`repro.scenarios.runner.SweepBoard`: the pending
+queue, the leases and attempt counts, retry → quarantine and the
+store/sidecar ingest all live there, shared with every inline sweep.
+This subclass adds only what the wire needs, under the same lock:
 
-::
+* ``request_lease`` — grant the next pending task to a pulling worker
+  (``POST /v1/dist/lease``; the ``dist.lease`` fault site), or answer
+  idle/drained;
+* ``submit`` — turn a worker's ``point-records`` or ``task-failed``
+  frame into the board's report;
+* ``heartbeat`` / ``expire_stale`` — lease deadlines, renewed by
+  heartbeats: a worker that stops heartbeating has its task charged a
+  ``worker-died`` failure, exactly like a pool slot whose process died.
 
-    pending ──grant──► leased ──records──► done
-       ▲                  │
-       │                  ├─ task-failed / lease expired / worker died
-       │                  ▼
-       └──requeue── attempt < max_retries?  ──no──► quarantined
-                                                    (failed records)
-
-The board never pushes work: workers *pull* leases
-(``POST /v1/dist/lease``), so scheduling degrades gracefully — a slow
-worker simply takes fewer tasks, a dead one takes none and its leases
-expire back onto the queue.  Retry and quarantine reuse the inline
-runner's machinery verbatim (same :class:`TaskFailure` shapes, same
-:func:`_failed_records` payloads, same exit-3 ``degraded()`` contract),
-so a distributed quarantine record is byte-identical to the one a
+The board never pushes work: workers *pull* leases, so scheduling
+degrades gracefully — a slow worker simply takes fewer tasks, a dead
+one takes none and its leases expire back onto the queue.  Because
+retry and quarantine are the inline runner's own transitions, a
+distributed quarantine record is byte-identical to the one a
 ``--jobs N`` run would have written.
 
 :func:`run_distributed_sweep` is the drop-in sibling of
@@ -32,16 +33,14 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from collections import deque
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Tuple,
-                    Union)
+from typing import Any, Callable, Dict, Optional, Union
 
-from ..experiments.parallel import WORKER_DIED, TaskFailure
+from ..experiments.parallel import TaskFailure
 from ..faults import fire
 from ..scenarios.results import current_generator
-from ..scenarios.runner import (DEFAULT_MAX_RETRIES, SweepRunSummary,
-                                _failed_records, prepare_sweep)
+from ..scenarios.runner import (DEFAULT_MAX_RETRIES, SweepBoard,
+                                SweepRunSummary, prepare_sweep)
 from ..scenarios.spec import ScenarioSpec
 from ..service.schemas import payload_ack, payload_lease
 from ..trace.replicate import TraceExport
@@ -63,75 +62,38 @@ _POLL_PERIOD = 0.05
 _HTTP_DRAIN_GRACE = 2.0
 
 
-class _Lease(NamedTuple):
-    index: int       #: position in the board's task list
-    worker: str
-    deadline: float  #: time.monotonic() expiry, renewed by heartbeats
+class LeaseBoard(SweepBoard):
+    """A :class:`SweepBoard` whose leases go to workers over the wire.
 
-
-class LeaseBoard:
-    """Thread-safe lease ledger over one prepared sweep plan.
-
-    All mutation happens under one lock; every public method is one
-    atomic transition.  Monotonic time is used only for lease deadlines
-    (supervision bookkeeping — never recorded), so the board's *store
-    effects* are deterministic in the sequence of worker reports alone.
+    Monotonic time is used only for lease deadlines (supervision
+    bookkeeping — never recorded), so the board's *store effects* stay
+    deterministic in the sequence of worker reports alone.
     """
 
     def __init__(self, plan, *, max_retries: int = DEFAULT_MAX_RETRIES,
                  lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
                  emit: Callable[[str], None] = lambda line: None) -> None:
-        self._lock = threading.Lock()
-        self._store = plan.store
-        self._sidecar = plan.sidecar
-        self._known_keys = plan.known_keys
-        self._tasks = list(plan.tasks)
-        self._pending = deque(range(len(self._tasks)))
-        self._leases: Dict[str, _Lease] = {}
-        self._seq = 0
-        self._terminal = 0
-        self.max_retries = max_retries
+        super().__init__(plan, max_retries=max_retries, emit=emit)
         self.lease_timeout = lease_timeout
-        self.computed = 0
-        self.failed = 0
-        self.quarantined: List[str] = []
-        self._emit = emit
+        #: time.monotonic() expiry per granted lease, renewed by
+        #: heartbeats (entries of leases that ended are dropped lazily).
+        self._deadlines: Dict[str, float] = {}
         self._generator = current_generator()
-
-    def task_count(self) -> int:
-        return len(self._tasks)
-
-    def done(self) -> bool:
-        """True once every task reached done or quarantined."""
-        with self._lock:
-            return self._terminal == len(self._tasks)
-
-    def counts(self) -> Tuple[int, int, Tuple[str, ...]]:
-        """(computed, failed, quarantined group names) snapshot."""
-        with self._lock:
-            return self.computed, self.failed, tuple(self.quarantined)
-
-    # ------------------------------------------------------------------
-    # worker-facing transitions (called from HTTP handler threads)
 
     def request_lease(self, worker: str) -> Dict[str, Any]:
         """Grant the next pending task to ``worker`` (the "lease"
         payload), or report idle/drained."""
         fire("dist.lease", worker)
         with self._lock:
-            if not self._pending:
-                state = ("drained"
-                         if self._terminal == len(self._tasks) else "idle")
+            granted = self._grant_locked(worker)
+            if granted is None:
+                state = "drained" if self._done_locked() else "idle"
                 return payload_lease(state, None)
-            index = self._pending.popleft()
-            self._seq += 1
-            lease_id = f"lease-{self._seq:06d}"
-            self._leases[lease_id] = _Lease(
-                index=index, worker=worker,
-                deadline=time.monotonic() + self.lease_timeout)
-            document = TaskLease(lease=lease_id, generator=self._generator,
-                                 task=self._tasks[index])
-            return payload_lease("granted", document.to_wire())
+            lease_id, task = granted
+            self._deadlines[lease_id] = time.monotonic() + self.lease_timeout
+        document = TaskLease(lease=lease_id, generator=self._generator,
+                             task=task)
+        return payload_lease("granted", document.to_wire())
 
     def submit(self, report: Union[TaskResult, TaskFailed]
                ) -> Dict[str, Any]:
@@ -139,108 +101,44 @@ class LeaseBoard:
         payload).  A report for an expired/unknown lease is acked
         "stale" and dropped — the task was already requeued, and the
         eventual winner's records are byte-identical anyway."""
+        if isinstance(report, TaskFailed):
+            outcome = TaskFailure(report.kind, report.error)
+        else:
+            outcome = (report.records, report.baselines)
         with self._lock:
-            lease = self._leases.pop(report.lease, None)
-            if lease is None:
-                return payload_ack("stale", report.lease)
-            task = self._tasks[lease.index]
-            if isinstance(report, TaskFailed):
-                self._fail_locked(lease.index,
-                                  TaskFailure(report.kind, report.error))
-                return payload_ack("ok", report.lease)
-            self._store.merge_all(report.records)
-            self._sidecar.append_missing(report.baselines, self._known_keys,
-                                         task.trace_key())
-            self.computed += len(report.records)
-            self._terminal += 1
-            self._emit(f"  [{self._terminal}/{len(self._tasks)}] "
-                       f"{task.group_name()} via {report.worker}: "
-                       f"{len(report.records)} points")
-            return payload_ack("ok", report.lease)
+            self._deadlines.pop(report.lease, None)
+            live = self._report_locked(report.lease, outcome)
+        return payload_ack("ok" if live else "stale", report.lease)
 
     def heartbeat(self, beat: Heartbeat) -> Dict[str, Any]:
         """Renew a live lease's deadline (or report it stale)."""
         with self._lock:
             lease = self._leases.get(beat.lease)
-            if lease is None or lease.worker != beat.worker:
+            if lease is None or lease.holder != beat.worker:
                 return payload_ack("stale", beat.lease)
-            self._leases[beat.lease] = lease._replace(
-                deadline=time.monotonic() + self.lease_timeout)
+            self._deadlines[beat.lease] = (time.monotonic()
+                                           + self.lease_timeout)
             return payload_ack("ok", beat.lease)
 
-    # ------------------------------------------------------------------
-    # supervisor-facing transitions
-
-    def expire_worker(self, worker: str) -> int:
-        """Expire every lease held by ``worker`` (it is known dead —
-        e.g. its subprocess exited); returns the number expired."""
-        with self._lock:
-            stale = [lease_id for lease_id, lease in self._leases.items()
-                     if lease.worker == worker]
-            for lease_id in stale:
-                lease = self._leases.pop(lease_id)
-                self._fail_locked(lease.index,
-                                  TaskFailure("worker-died", WORKER_DIED))
-            return len(stale)
-
     def expire_stale(self) -> int:
-        """Expire every lease past its heartbeat deadline; returns the
-        number expired."""
+        """Charge a death to every lease past its heartbeat deadline;
+        returns the number expired."""
         now = time.monotonic()
         with self._lock:
-            stale = [lease_id for lease_id, lease in self._leases.items()
-                     if lease.deadline < now]
+            stale = [lease_id for lease_id, deadline
+                     in self._deadlines.items() if deadline < now]
+            expired = 0
             for lease_id in stale:
-                lease = self._leases.pop(lease_id)
+                del self._deadlines[lease_id]
+                lease = self._leases.get(lease_id)
+                if lease is None:
+                    continue
                 self._emit(f"  lease {lease_id} "
                            f"({self._tasks[lease.index].group_name()}) "
-                           f"expired on worker {lease.worker}")
-                self._fail_locked(lease.index,
-                                  TaskFailure("worker-died", WORKER_DIED))
-            return len(stale)
-
-    def fail_outstanding(self) -> int:
-        """Quarantine everything still pending or leased — the no-wedge
-        backstop when no worker can be (re)spawned to make progress.
-        Returns the number of tasks quarantined."""
-        with self._lock:
-            drained = 0
-            while self._pending:
-                self._quarantine_locked(
-                    self._pending.popleft(),
-                    TaskFailure("worker-died", WORKER_DIED))
-                drained += 1
-            for lease_id in list(self._leases):
-                lease = self._leases.pop(lease_id)
-                self._quarantine_locked(
-                    lease.index, TaskFailure("worker-died", WORKER_DIED))
-                drained += 1
-            return drained
-
-    # ------------------------------------------------------------------
-
-    def _fail_locked(self, index: int, failure: TaskFailure) -> None:
-        task = self._tasks[index]
-        if task.attempt < self.max_retries:
-            self._tasks[index] = task._replace(attempt=task.attempt + 1)
-            self._pending.append(index)
-            self._emit(f"  {task.group_name()} failed ({failure.kind}); "
-                       f"retry {task.attempt + 1} of {self.max_retries} "
-                       "queued")
-        else:
-            self._quarantine_locked(index, failure)
-
-    def _quarantine_locked(self, index: int, failure: TaskFailure) -> None:
-        task = self._tasks[index]
-        records = _failed_records(task, failure, task.attempt + 1)
-        self._store.append_all(records)
-        self.failed += len(records)
-        name = task.group_name()
-        if name not in self.quarantined:
-            self.quarantined.append(name)
-        self._terminal += 1
-        self._emit(f"  quarantined {name} after {task.attempt + 1} "
-                   f"attempts: {failure.error}")
+                           f"expired on worker {lease.holder}")
+                self._report_locked(lease_id, TaskFailure.worker_died())
+                expired += 1
+            return expired
 
 
 def run_distributed_sweep(spec: ScenarioSpec, out: Union[str, Path], *,
@@ -291,13 +189,10 @@ def run_distributed_sweep(spec: ScenarioSpec, out: Union[str, Path], *,
     plan = prepare_sweep(spec, out, jobs=workers, limit=limit,
                          attach_baselines=True)
     emit(plan.describe(spec.name, workers) + f", transport={transport}")
-    if not plan.tasks:
-        return SweepRunSummary(
-            total=plan.total, skipped=plan.skipped, computed=0,
-            remaining=plan.total - plan.skipped)
-
     board = LeaseBoard(plan, max_retries=max_retries,
                        lease_timeout=lease_timeout, emit=emit)
+    if board.done():  # nothing to run: bind no server, start no worker
+        return board.summary()
 
     from ..service.http import build_server  # avoid import cycle
     store = TraceStore.from_env()
@@ -327,8 +222,4 @@ def run_distributed_sweep(spec: ScenarioSpec, out: Union[str, Path], *,
         listener.join(timeout=5.0)
         server.server_close()
 
-    computed, failed, quarantined = board.counts()
-    return SweepRunSummary(
-        total=plan.total, skipped=plan.skipped, computed=computed,
-        remaining=plan.total - plan.skipped - computed - failed,
-        failed=failed, quarantined=quarantined)
+    return board.summary()

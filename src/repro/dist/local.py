@@ -11,12 +11,15 @@ on other hosts, which run the exact same loop.
 
 Supervision model: a child that exits with work outstanding had its
 death *observed* (no need to wait out the heartbeat timeout — the
-local transport's one shortcut), so its leases are expired immediately
-and a replacement is spawned, up to a respawn budget sized so every
-task can fail its full retry allowance and still leave headroom.  If
-the budget empties with no live workers, the remaining tasks are
-quarantined rather than wedging the sweep — the same never-hang
-discipline as the PR 8 pool.
+local transport's one shortcut), so :meth:`LeaseBoard.expire_worker`
+charges the death to the lease it held and a replacement is spawned,
+up to a respawn budget sized so every task can fail its full retry
+allowance and still leave headroom.  A worker runs one lease at a
+time, so — exactly like a pool slot in
+:mod:`repro.experiments.parallel` — a death costs the one task it
+interrupted, and the board decides retry versus quarantine.  If the
+budget empties with no live workers, the remaining tasks are
+quarantined rather than wedging the sweep.
 """
 
 from __future__ import annotations

@@ -7,13 +7,14 @@ failure) back, repeat until the coordinator says the sweep is drained.
 
 Failure discipline mirrors :mod:`repro.experiments.parallel` exactly:
 
-* a task that raises becomes a ``task-failed`` frame with
-  ``kind="error"`` and the same one-line ``TypeName: message`` text
-  ``parallel_imap`` records — so a distributed quarantine record is
-  byte-identical to a ``--jobs N`` one;
-* a worker that dies mid-task simply stops heartbeating; the
-  coordinator expires the lease and requeues with the constant
-  worker-died text — again the pool's exact contract;
+* a task that raises becomes a ``task-failed`` frame built by
+  :meth:`repro.experiments.parallel.TaskFailure.from_exception` — the
+  ``TypeName: message`` text a pool slot records — so a distributed
+  quarantine record is byte-identical to a ``--jobs N`` one;
+* a worker that dies mid-task simply stops heartbeating (or, under
+  ``--transport local``, is seen to exit); the coordinator charges the
+  death to the one lease it held, with the constant worker-died text —
+  again a pool slot's exact contract;
 * a generator-version mismatch (this worker's trace generator differs
   from the coordinator's) refuses the lease and exits distinctly: any
   records it computed would be ignored as stale by the store.
@@ -45,6 +46,7 @@ import urllib.request
 from typing import Any, Callable, Dict, Optional
 
 from ..common.backoff import backoff_delay
+from ..experiments.parallel import TaskFailure
 from ..faults import fire
 from ..pipeline.tracegen import cached_trace
 from ..scenarios.results import current_generator
@@ -265,8 +267,8 @@ def _lease_loop(client: CoordinatorClient, worker_id: str,
                 fire("dist.result", task.fault_key())
             except Exception as error:  # reprolint: disable=RL009 - quarantine boundary: a failed walk must become a structured task-failed report (the parallel_imap contract), not a worker crash
                 report = TaskFailed(
-                    lease=lease.lease, worker=worker_id, kind="error",
-                    error=f"{type(error).__name__}: {error}")
+                    lease=lease.lease, worker=worker_id,
+                    **TaskFailure.from_exception(error)._asdict())
             else:
                 report = TaskResult(
                     lease=lease.lease, worker=worker_id,

@@ -19,35 +19,35 @@ provides:
   progress to disk — the scenario sweep runner persisting each finished
   point — lose at most the in-flight tasks on interruption instead of
   the whole batch.
-* :func:`shared_pool` — a *persistent* worker pool
-  (``concurrent.futures.ProcessPoolExecutor``) shared across calls:
-  :func:`parallel_map` and :func:`parallel_imap` draw workers from it
-  instead of spawning a fresh pool per call, so a session running
-  several sweeps (or a sweep that resumes repeatedly) pays worker
-  start-up and trace warm-up once.  Workers run :func:`_attach_worker`
-  at start: the trace-store location, the already-computed
-  generator-version hash, and the fault plan (chaos testing; see
-  :mod:`repro.faults`) are installed so every worker resolves the same
-  archives — and fails in the same injected places — as the parent.
+* :func:`shared_pool` — the *persistent* worker slots shared across
+  calls: ``jobs`` single-worker ``ProcessPoolExecutor`` instances, each
+  running one task at a time.  :func:`parallel_map` and
+  :func:`parallel_imap` draw from them instead of spawning a fresh pool
+  per call, so a process running several sweeps (or a sweep that
+  resumes repeatedly) pays worker start-up and trace warm-up once.
+  Workers run :func:`_attach_worker` at start: the trace-store
+  location, the already-computed generator-version hash, and the fault
+  plan (chaos testing; see :mod:`repro.faults`) are installed so every
+  worker resolves the same archives — and fails in the same injected
+  places — as the parent.
 * :func:`resolve_jobs` — the ``--jobs auto`` policy: every CLI that
   fans out accepts ``auto`` and resolves it here (all CPUs but one, at
   least one — leaving a core for the parent keeps the incremental
   checkpoint/append loop responsive).
 
-Worker-death tolerance (the failure model DESIGN.md documents): a
-worker that dies mid-task — segfault, OOM kill, injected
-``worker.task`` fault — breaks a ``ProcessPoolExecutor``
-(``BrokenProcessPool``) instead of hanging it.
-:func:`parallel_imap` catches the break, salvages every already
-completed result, rebuilds the pool with bounded exponential backoff,
-and resubmits the unfinished tasks.  After :data:`POOL_REBUILD_LIMIT`
-breaks it switches to *isolation mode* — each remaining task runs alone
-on a fresh single-worker pool, so the task that breaks its private pool
-is deterministically identified as the poison.  What happens to a task
-that ultimately fails is the caller's choice via ``task_errors``:
-``"raise"`` (default — propagate, :class:`WorkerCrashError` for a dead
-worker) or ``"yield"`` (yield a :class:`TaskFailure` in the task's
-result slot; the sweep runner's retry/quarantine loop consumes these).
+Worker death (the failure model DESIGN.md documents): a worker that
+dies mid-task — segfault, OOM kill, injected ``worker.task`` fault —
+breaks its slot's executor (``BrokenProcessPool``) instead of hanging
+it.  A slot runs one task at a time, so the break names exactly the
+task that killed it; the slot is replaced and nothing else is lost or
+rerun.  The pool is a dumb executor: it never retries.  What happens
+to a failed task is the caller's choice via ``task_errors``:
+``"raise"`` (default — propagate the exception, or
+:class:`WorkerCrashError` naming the task on the first death) or
+``"yield"`` (yield a :class:`TaskFailure` in the task's result slot;
+the sweep runner reports it to its
+:class:`~repro.scenarios.runner.SweepBoard`, which decides retry versus
+quarantine).
 
 Determinism: results are collected in submission order, and every
 :func:`run_workload_grid` task carries a
@@ -63,23 +63,15 @@ from __future__ import annotations
 import atexit
 import os
 import random
-import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from collections import deque
+from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
+                                wait)
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import util as _mp_util
 from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple, Union)
 
 from ..common.rng import child_seed
-
-#: Pool rebuilds tolerated per :func:`parallel_imap` call before the
-#: remaining tasks fall back to one-task-per-pool isolation mode.
-POOL_REBUILD_LIMIT = 2
-
-#: Exponential-backoff shape between pool rebuilds: 0.05s, 0.1s, ...,
-#: capped so a crash-looping environment cannot stall a sweep forever.
-_BACKOFF_BASE_SECONDS = 0.05
-_BACKOFF_CAP_SECONDS = 1.0
 
 #: The deterministic error text recorded for a task whose worker died
 #: (crash details — signal, address — vary run to run; records must
@@ -92,17 +84,29 @@ class TaskFailure(NamedTuple):
 
     ``kind`` is ``"error"`` (the task raised) or ``"worker-died"``
     (the worker running it vanished); ``error`` is a deterministic
-    one-line description suitable for durable records.
+    one-line description suitable for durable records.  Build them
+    with :meth:`from_exception` and :meth:`worker_died`, so every
+    executor — pool slot, serial loop, fleet worker — records the same
+    text for the same failure.
     """
 
     kind: str
     error: str
 
+    @classmethod
+    def from_exception(cls, error: BaseException) -> "TaskFailure":
+        """The failure of a task that raised: ``TypeName: message``."""
+        return cls("error", f"{type(error).__name__}: {error}")
+
+    @classmethod
+    def worker_died(cls) -> "TaskFailure":
+        """The failure of a task whose worker process died."""
+        return cls("worker-died", WORKER_DIED)
+
 
 class WorkerCrashError(RuntimeError):
-    """A pool worker died executing a task and ``task_errors="raise"``
-    (isolation mode identified the task; retrying it would kill again).
-    """
+    """A worker died executing a task and ``task_errors="raise"``
+    (a slot runs one task at a time, so the message names the task)."""
 
 
 def resolve_jobs(jobs: Union[int, str, None]) -> int:
@@ -176,52 +180,14 @@ def _initargs() -> Tuple[Optional[str], str, Optional[str]]:
             os.environ.get(faults.FAULT_PLAN_ENV))  # reprolint: disable=RL004 - sanctioned parent-side snapshot
 
 
-_shared_pool: Optional[ProcessPoolExecutor] = None
-_shared_pool_jobs: int = 0
-_shared_pool_attachment: Optional[Tuple[Optional[str], str,
-                                        Optional[str]]] = None
-_shared_pool_owner: int = 0
-
-
-def shared_pool(jobs: int) -> ProcessPoolExecutor:
-    """The persistent worker pool for ``jobs`` workers.
-
-    Created on first use and kept alive for the process; every worker
-    runs :func:`_attach_worker` once at start.  The pool is re-created
-    when a different worker count is requested, when the attachment
-    (trace-store location / generator hash / fault plan) no longer
-    matches what the workers were initialized with — a caller that
-    re-points ``REPRO_TRACE_STORE`` mid-process must never get workers
-    still attached to the old store — or when a worker death broke the
-    previous pool.  Call :func:`shutdown_shared_pool` to tear it down
-    early — an ``atexit`` hook does so at interpreter exit.
-    """
-    global _shared_pool, _shared_pool_jobs, _shared_pool_attachment, \
-        _shared_pool_owner
-    if jobs <= 1:
-        raise ValueError("shared_pool needs jobs > 1")
-    attachment = _initargs()
-    if _shared_pool is not None and (
-            _shared_pool_jobs != jobs
-            or _shared_pool_attachment != attachment
-            or getattr(_shared_pool, "_broken", False)):
-        shutdown_shared_pool()
-    if _shared_pool is None:
-        _shared_pool = ProcessPoolExecutor(
-            max_workers=jobs, initializer=_attach_worker,
-            initargs=attachment)
-        _shared_pool_jobs = jobs
-        _shared_pool_attachment = attachment
-        _shared_pool_owner = os.getpid()
-    return _shared_pool
-
-
-def _shutdown_executor(executor: ProcessPoolExecutor) -> None:
-    """Tear an executor down without waiting for queued work: cancel
-    what never started, then terminate and reap the worker processes
+def _shutdown_executors(executors: Sequence[ProcessPoolExecutor]) -> None:
+    """Tear executors down without waiting for queued work: cancel what
+    never started, then terminate and reap the worker processes
     (bounded join — a wedged worker must not hang the parent)."""
-    processes = list(getattr(executor, "_processes", {}).values())
-    executor.shutdown(wait=False, cancel_futures=True)
+    processes = [process for executor in executors
+                 for process in getattr(executor, "_processes", {}).values()]
+    for executor in executors:
+        executor.shutdown(wait=False, cancel_futures=True)
     for process in processes:
         if process.is_alive():
             process.terminate()
@@ -229,25 +195,83 @@ def _shutdown_executor(executor: ProcessPoolExecutor) -> None:
         process.join(5)
 
 
-def shutdown_shared_pool() -> None:
-    """Terminate the persistent pool (idempotent).
+class _WorkerSlots:
+    """``jobs`` single-worker executors attached like the parent.
 
-    Only the process that created the pool touches the executor; a
-    forked child that inherited the globals (a raw ``os.fork``, say)
-    just drops its references — terminating the worker processes from
-    a non-owner would kill the owner's in-flight tasks.
+    Each slot holds at most one task, so when its worker dies the
+    ``BrokenProcessPool`` belongs to exactly that task; :meth:`replace`
+    then swaps in a fresh executor and the other slots never notice.
     """
-    global _shared_pool, _shared_pool_jobs, _shared_pool_attachment, \
-        _shared_pool_owner
-    if _shared_pool is not None:
-        executor = _shared_pool
-        owner = _shared_pool_owner
-        _shared_pool = None
-        _shared_pool_jobs = 0
-        _shared_pool_attachment = None
-        _shared_pool_owner = 0
-        if owner == os.getpid():
-            _shutdown_executor(executor)
+
+    def __init__(self, jobs: int,
+                 attachment: Tuple[Optional[str], str, Optional[str]]
+                 ) -> None:
+        self.attachment = attachment
+        #: Only the creating process may terminate the workers.
+        self.owner = os.getpid()
+        self.executors = [self._fresh() for _ in range(jobs)]
+
+    def _fresh(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=1, initializer=_attach_worker,
+                                   initargs=self.attachment)
+
+    def replace(self, slot: int) -> None:
+        """Swap slot ``slot``'s broken executor for a fresh one."""
+        _shutdown_executors([self.executors[slot]])
+        self.executors[slot] = self._fresh()
+
+    def shutdown(self) -> None:
+        if self.owner == os.getpid():
+            _shutdown_executors(self.executors)
+
+
+_shared_pool: Optional[_WorkerSlots] = None
+
+
+def shared_pool(jobs: int) -> _WorkerSlots:
+    """The persistent worker slots for ``jobs`` workers.
+
+    Created on first use and kept alive for the process; every worker
+    runs :func:`_attach_worker` once at start.  The slots are re-created
+    when a different worker count is requested, or when the attachment
+    (trace-store location / generator hash / fault plan) no longer
+    matches what the workers were initialized with — a caller that
+    re-points ``REPRO_TRACE_STORE`` mid-process must never get workers
+    still attached to the old store.  A slot whose worker died is
+    replaced on its own: here when it died idle, by
+    :func:`parallel_imap` when it died running a task.  Call
+    :func:`shutdown_shared_pool` to tear them down early — an
+    ``atexit`` hook does so at interpreter exit.
+    """
+    global _shared_pool
+    if jobs <= 1:
+        raise ValueError("shared_pool needs jobs > 1")
+    attachment = _initargs()
+    if _shared_pool is not None and (
+            len(_shared_pool.executors) != jobs
+            or _shared_pool.attachment != attachment):
+        shutdown_shared_pool()
+    if _shared_pool is None:
+        _shared_pool = _WorkerSlots(jobs, attachment)
+    for slot, executor in enumerate(_shared_pool.executors):
+        if getattr(executor, "_broken", False):
+            # Its worker died between calls (an OOM kill while idle).
+            _shared_pool.replace(slot)
+    return _shared_pool
+
+
+def shutdown_shared_pool() -> None:
+    """Terminate the persistent slots (idempotent).
+
+    Only the process that created them touches the executors; a forked
+    child that inherited the globals (a raw ``os.fork``, say) just
+    drops its references — terminating the worker processes from a
+    non-owner would kill the owner's in-flight tasks.
+    """
+    global _shared_pool
+    slots, _shared_pool = _shared_pool, None
+    if slots is not None:
+        slots.shutdown()
 
 
 atexit.register(shutdown_shared_pool)
@@ -307,9 +331,8 @@ def run_workload_grid(func: WorkloadSlice, config: Any, jobs: int = 1
     Returns ``[(workload, payload), ...]`` ordered exactly like
     ``config.workloads``, whatever the completion order was.  With
     ``jobs>1`` the slices run on the persistent :func:`shared_pool`
-    through :func:`parallel_map`, so a dead worker is survived (or
-    reported as :class:`WorkerCrashError`) the same way as for every
-    other fan-out.
+    through :func:`parallel_map`, so a dead worker is reported as
+    :class:`WorkerCrashError` the same way as for every other fan-out.
     """
     name = _task_name(func)
     tasks = [
@@ -325,12 +348,11 @@ def parallel_map(func: Callable[[Any], Any], items: Sequence[Any],
                  jobs: int = 1) -> List[Any]:
     """Ordered process map for ad-hoc grids (e.g. the CLI compare rows).
 
-    ``func`` must be picklable (module-level); with ``jobs=1`` this is
-    just ``list(map(func, items))``.  With ``jobs>1`` the tasks run on
-    the persistent :func:`shared_pool` via :func:`parallel_imap`, so
-    worker death is survived the same way (transparent pool rebuild;
-    :class:`WorkerCrashError` only for a task that kills every pool it
-    is given).
+    ``func`` must be picklable (module-level); with ``jobs=1`` (or a
+    single item) this is just ``list(map(func, items))``.  With
+    ``jobs>1`` the tasks run on the persistent :func:`shared_pool` via
+    :func:`parallel_imap`: a task exception propagates, and a task that
+    kills its worker raises :class:`WorkerCrashError`.
     """
     if jobs <= 0:
         raise ValueError("jobs must be positive")
@@ -342,47 +364,36 @@ def parallel_map(func: Callable[[Any], Any], items: Sequence[Any],
     return results
 
 
-def _run_indexed(task: Tuple[Callable[[Any], Any], int, Any]
-                 ) -> Tuple[int, Any]:
-    """Worker shim for :func:`parallel_imap`: tag results with their
-    submission index so callers can reorder if they need to."""
-    func, index, item = task
-    return index, func(item)
-
-
 def parallel_imap(func: Callable[[Any], Any], items: Sequence[Any],
                   jobs: int = 1, *, task_errors: str = "raise"
                   ) -> Iterator[Tuple[int, Any]]:
     """Incremental process map: yields ``(index, result)`` pairs.
 
-    With ``jobs=1`` (or a single item) tasks run inline and results
-    arrive in submission order; with ``jobs>1`` they arrive in
-    *completion* order, tagged with the submitting index.  Use this when
-    each finished task should be checkpointed immediately (the scenario
-    sweep runner appends each result to its on-disk store, so a killed
-    run resumes from the last completed task rather than the last
-    completed batch).  ``func`` must be picklable (module-level).
-    With ``jobs>1`` the tasks run on the persistent :func:`shared_pool`
-    — repeated calls (sweep after sweep, or a resumed sweep) reuse the
-    same attached workers instead of re-spawning.
+    With ``jobs=1`` tasks run inline and results arrive in submission
+    order; with ``jobs>1`` they arrive in *completion* order, tagged
+    with the submitting index.  Use this when each finished task should
+    be checkpointed immediately (the scenario sweep runner appends each
+    result to its on-disk store, so a killed run resumes from the last
+    completed task rather than the last completed batch).  ``func``
+    must be picklable (module-level).  With ``jobs>1`` the tasks run on
+    the persistent :func:`shared_pool` — repeated calls (sweep after
+    sweep, or a resumed sweep) reuse the same attached workers instead
+    of re-spawning — one task per slot, and a freed slot takes its next
+    task before the finished result is yielded, so the caller's
+    per-result work overlaps the next walk.
 
     Failure contract (``task_errors``): with ``"raise"`` (default) a
-    task exception propagates and a task whose worker dies on every
-    pool it is given raises :class:`WorkerCrashError`; with ``"yield"``
-    the failed task's slot yields a :class:`TaskFailure` instead and
-    the remaining tasks keep running — the sweep runner's
-    retry/quarantine loop consumes these.  Worker death never loses
-    completed results: the broken pool is rebuilt (bounded exponential
-    backoff, at most :data:`POOL_REBUILD_LIMIT` times per call) and
-    only unfinished tasks are resubmitted; after the limit each
-    remaining task runs isolated on its own single-worker pool, which
-    identifies the poison task deterministically.
+    task exception propagates and a task that kills its worker raises
+    :class:`WorkerCrashError` naming it; with ``"yield"`` the failed
+    task's slot yields a :class:`TaskFailure` instead and the remaining
+    tasks keep running.  Either way a death costs exactly the task that
+    died: its slot is replaced, and no other task is rerun or lost.
 
     Early-close contract: ``close()``-ing the iterator before
     exhaustion (what the sweep runner's cooperative-stop hook does on
     graceful shutdown) cancels the not-yet-consumed work — under
-    ``jobs>1`` the persistent pool is torn down and the next parallel
-    call transparently re-creates it.  Results already yielded are
+    ``jobs>1`` the persistent slots are torn down and the next parallel
+    call transparently re-creates them.  Results already yielded are
     unaffected.
     """
     if jobs <= 0:
@@ -390,20 +401,19 @@ def parallel_imap(func: Callable[[Any], Any], items: Sequence[Any],
     if task_errors not in ("raise", "yield"):
         raise ValueError(f"task_errors must be 'raise' or 'yield', "
                          f"got {task_errors!r}")
-    if jobs == 1 or len(items) <= 1:
-        for index, item in enumerate(items):
-            if task_errors == "raise":
-                yield index, func(item)
-                continue
-            try:
-                result = func(item)
-            except Exception as error:  # reprolint: disable=RL009 - converted to a TaskFailure the caller retries or quarantines
-                yield index, TaskFailure(
-                    "error", f"{type(error).__name__}: {error}")
-            else:
-                yield index, result
+    if jobs > 1:
+        yield from _imap_pooled(func, items, jobs, task_errors)
         return
-    yield from _imap_pooled(func, items, jobs, task_errors)
+    for index, item in enumerate(items):
+        if task_errors == "raise":
+            yield index, func(item)
+            continue
+        try:
+            result = func(item)
+        except Exception as error:  # reprolint: disable=RL009 - converted to a TaskFailure the caller retries or quarantines
+            yield index, TaskFailure.from_exception(error)
+        else:
+            yield index, result
 
 
 def _imap_pooled(func: Callable[[Any], Any], items: Sequence[Any],
@@ -411,88 +421,43 @@ def _imap_pooled(func: Callable[[Any], Any], items: Sequence[Any],
                  ) -> Iterator[Tuple[int, Any]]:
     """The ``jobs > 1`` body of :func:`parallel_imap` (see its
     docstring for the failure and early-close contracts)."""
-    pending: Dict[int, Any] = dict(enumerate(items))
-    breaks = 0
+    if not items:
+        return
+    slots = shared_pool(jobs)
+    queue = deque(enumerate(items))
+    running: Dict[Future, Tuple[int, int]] = {}  # future -> (slot, index)
+
+    def refill(slot: int) -> None:
+        if queue:
+            index, item = queue.popleft()
+            running[slots.executors[slot].submit(func, item)] = (slot, index)
+
     try:
-        while pending and breaks <= POOL_REBUILD_LIMIT:
-            executor = shared_pool(jobs)
-            salvaged: List[Tuple[int, Any]] = []
-            futures: Dict[Any, int] = {}
-            try:
-                for index in sorted(pending):
-                    futures[executor.submit(
-                        _run_indexed, (func, index, pending[index]))] = index
-                for future in as_completed(futures):
-                    index = futures[future]
-                    try:
-                        _, result = future.result()
-                    except BrokenProcessPool:
+        for slot in range(jobs):
+            refill(slot)
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=lambda key: running[key][1]):
+                slot, index = running.pop(future)
+                try:
+                    result = future.result()
+                except BrokenProcessPool:
+                    # The slot's one worker died running this task.
+                    slots.replace(slot)
+                    if task_errors == "raise":
+                        raise WorkerCrashError(
+                            f"task {index} killed its worker process"
+                        ) from None
+                    result = TaskFailure.worker_died()
+                except Exception as error:
+                    if task_errors == "raise":
                         raise
-                    except Exception as error:
-                        if task_errors == "raise":
-                            shutdown_shared_pool()
-                            raise
-                        pending.pop(index, None)
-                        yield index, TaskFailure(
-                            "error", f"{type(error).__name__}: {error}")
-                    else:
-                        pending.pop(index, None)
-                        yield index, result
-            except BrokenProcessPool:
-                # A worker died: every unfinished future is poisoned,
-                # but futures that completed before the break still
-                # hold good results — salvage them, then rebuild.
-                for future, index in futures.items():
-                    if index not in pending or not future.done() \
-                            or future.cancelled():
-                        continue
-                    try:
-                        _, result = future.result()
-                    except BaseException:  # reprolint: disable=RL009 - poisoned future; its task is resubmitted to the rebuilt pool
-                        continue
-                    pending.pop(index, None)
-                    salvaged.append((index, result))
-                shutdown_shared_pool()
-                breaks += 1
-                time.sleep(min(_BACKOFF_BASE_SECONDS * 2 ** (breaks - 1),
-                               _BACKOFF_CAP_SECONDS))
-            yield from salvaged
-        # Isolation mode: the pool broke POOL_REBUILD_LIMIT+1 times
-        # with this task set.  Run each remaining task alone on a fresh
-        # single-worker pool — a break now names the poison task.
-        for index in sorted(pending):
-            item = pending.pop(index)
-            try:
-                result = _run_isolated(func, index, item)
-            except BrokenProcessPool:
-                if task_errors == "raise":
-                    raise WorkerCrashError(
-                        f"task {index} killed its worker even in "
-                        "isolation (after pool rebuilds)") from None
-                yield index, TaskFailure("worker-died", WORKER_DIED)
-            except Exception as error:
-                if task_errors == "raise":
-                    raise
-                yield index, TaskFailure(
-                    "error", f"{type(error).__name__}: {error}")
-            else:
+                    result = TaskFailure.from_exception(error)
+                refill(slot)
                 yield index, result
-    except GeneratorExit:
-        # Closed early: the consumer is done, but the pool still holds
-        # queued tasks it would keep burning CPU on.  Terminate it; the
-        # abandoned tasks' results were never going to be observed.
+    except BaseException:
+        # Closed early, or raising: the other slots still hold tasks
+        # nobody will observe.  Terminate them rather than let them
+        # burn CPU; the next call re-creates the slots.
         shutdown_shared_pool()
         raise
-
-
-def _run_isolated(func: Callable[[Any], Any], index: int, item: Any) -> Any:
-    """Run one task on a throwaway single-worker pool (isolation mode)."""
-    executor = ProcessPoolExecutor(max_workers=1,
-                                   initializer=_attach_worker,
-                                   initargs=_initargs())
-    try:
-        _, result = executor.submit(_run_indexed,
-                                    (func, index, item)).result()
-        return result
-    finally:
-        _shutdown_executor(executor)

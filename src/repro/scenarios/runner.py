@@ -25,12 +25,12 @@ Execution strategy, in order of the wins it banks:
 4. **Schedule by cost, largest first.**  Tasks are ordered by estimated
    cost (requested instructions × lane count) so the longest walks
    start first and the tail of a parallel run stays short.
-5. **Fan out on the persistent pool.**  Tasks are distributed via
-   :func:`repro.experiments.parallel.parallel_imap`, whose workers come
-   from the process-wide persistent pool (attached to the trace store
-   by their initializer); each task's records are appended to the store
-   the moment it completes, so a kill loses at most the in-flight
-   tasks.
+5. **Lease from one board, fan out on the persistent slots.**  Tasks
+   are leased from a :class:`SweepBoard` — the retry/quarantine state
+   machine the distributed coordinator shares — and run via
+   :func:`repro.experiments.parallel.parallel_imap` on the process-wide
+   worker slots; each outcome is reported back the moment its task
+   completes, so a kill loses at most the in-flight tasks.
 6. **Memoize baselines across points and runs.**  No-prefetch baseline
    replays are memoized in-process keyed by (trace content hash, cache
    geometry, replacement, warmup) and persisted to the
@@ -55,15 +55,17 @@ geometry (dimensionless, 1.0 = no change).
 from __future__ import annotations
 
 import sys
+import threading
 import time
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Tuple,
                     Union)
 
 from ..common.config import CacheConfig, SystemConfig
-from ..experiments.parallel import (TaskFailure, parallel_imap,
-                                    shutdown_shared_pool)
+from ..experiments.parallel import TaskFailure, parallel_imap
 from ..faults import fire
 from ..pipeline.tracegen import cached_trace
 from ..sim.baseline import export_baseline_memo, seed_baseline_memo
@@ -324,9 +326,9 @@ def _shard_tasks(tasks: List[_GroupTask], jobs: int) -> List[_GroupTask]:
 class SweepPlan(NamedTuple):
     """Everything :func:`prepare_sweep` resolved before execution: the
     opened store/sidecar pair, the resume accounting, and the sharded
-    task list — shared verbatim by the inline runner and the
-    distributed coordinator (:mod:`repro.dist`), so both execute the
-    exact same tasks against the exact same store."""
+    task list — what a :class:`SweepBoard` is built over, by the inline
+    runner and the distributed coordinator (:mod:`repro.dist`) alike,
+    so both execute the exact same tasks against the exact same store."""
 
     store: ResultsStore
     sidecar: BaselineSidecar
@@ -389,6 +391,175 @@ def prepare_sweep(spec: ScenarioSpec, out: Union[str, Path], jobs: int = 1,
                      tasks=tasks)
 
 
+class _Lease(NamedTuple):
+    index: int   #: position in the board's task list
+    holder: str  #: who runs the task: a fleet worker id, or "inline"
+
+
+#: A lease's end: :func:`_run_group`'s result, or why it failed.
+_Outcome = Union[Tuple[List[Dict[str, Any]], Dict[str, Dict[str, Any]]],
+                 TaskFailure]
+
+
+class SweepBoard:
+    """The one retry/quarantine state machine of a sweep.
+
+    ::
+
+        pending ──grant──► leased ──records──► done
+           ▲                  │
+           │                  ├─ failed: raised, or its worker died
+           │                  ▼
+           └──requeue── attempt < max_retries?  ──no──► quarantined
+                                                        (failed records)
+
+    :func:`run_sweep` grants itself every pending task and reports each
+    outcome; the coordinator's :class:`~repro.dist.coordinator.LeaseBoard`
+    subclass grants tasks to pulling workers.  Successes are appended to
+    the store (baselines to the sidecar) as they arrive; a task that
+    fails every attempt is quarantined with :func:`_failed_records`.  A
+    report for a lease that is no longer live is dropped, so a task's
+    records reach the store once.  All mutation happens under one lock;
+    a subclass adds transitions by taking ``self._lock`` and calling the
+    ``_*_locked`` helpers.
+    """
+
+    def __init__(self, plan: SweepPlan, *,
+                 max_retries: int = DEFAULT_MAX_RETRIES,
+                 emit: Callable[[str], None] = lambda line: None) -> None:
+        self._lock = threading.Lock()
+        self._plan = plan
+        self._tasks = list(plan.tasks)
+        self._pending = deque(range(len(self._tasks)))
+        self._leases: Dict[str, _Lease] = {}
+        self._seq = 0
+        self._terminal = 0
+        self.max_retries = max_retries
+        self.computed = 0
+        self.failed = 0
+        self.quarantined: List[str] = []
+        self._emit = emit
+        self._started = time.monotonic()  # reprolint: disable=RL002 - progress timing; stderr only, never recorded
+
+    def task_count(self) -> int:
+        return len(self._tasks)
+
+    def done(self) -> bool:
+        """True once every task reached done or quarantined."""
+        with self._lock:
+            return self._done_locked()
+
+    def counts(self) -> Tuple[int, int, Tuple[str, ...]]:
+        """(computed, failed, quarantined group names) snapshot."""
+        with self._lock:
+            return self.computed, self.failed, tuple(self.quarantined)
+
+    def summary(self) -> SweepRunSummary:
+        """The invocation's outcome so far."""
+        computed, failed, quarantined = self.counts()
+        plan = self._plan
+        return SweepRunSummary(
+            total=plan.total, skipped=plan.skipped, computed=computed,
+            remaining=plan.total - plan.skipped - computed - failed,
+            failed=failed, quarantined=quarantined)
+
+    def grant_all(self, holder: str) -> List[Tuple[str, _GroupTask]]:
+        """Lease every pending task to ``holder``: ``(lease id, task)``
+        pairs in queue order (requeued retries at the tail)."""
+        with self._lock:
+            granted = []
+            while (lease := self._grant_locked(holder)) is not None:
+                granted.append(lease)
+            return granted
+
+    def report(self, lease_id: str, outcome: _Outcome) -> bool:
+        """End a lease with its outcome; False if the lease was no
+        longer live (the report is stale and dropped)."""
+        with self._lock:
+            return self._report_locked(lease_id, outcome)
+
+    def expire_worker(self, holder: str) -> int:
+        """Charge a death to every lease ``holder`` held (its process
+        is known dead); returns the number expired."""
+        with self._lock:
+            stale = [lease_id for lease_id, lease in self._leases.items()
+                     if lease.holder == holder]
+            for lease_id in stale:
+                self._report_locked(lease_id, TaskFailure.worker_died())
+            return len(stale)
+
+    def fail_outstanding(self) -> int:
+        """Quarantine everything still pending or leased — the no-wedge
+        backstop when no worker can be (re)spawned to make progress.
+        Returns the number of tasks quarantined."""
+        with self._lock:
+            indices = list(self._pending)
+            indices += [lease.index for lease in self._leases.values()]
+            self._pending.clear()
+            self._leases.clear()
+            for index in indices:
+                self._quarantine_locked(index, TaskFailure.worker_died())
+            return len(indices)
+
+    # ------------------------------------------------------------------
+
+    def _done_locked(self) -> bool:
+        return self._terminal == len(self._tasks)
+
+    def _grant_locked(self, holder: str
+                      ) -> Optional[Tuple[str, _GroupTask]]:
+        if not self._pending:
+            return None
+        index = self._pending.popleft()
+        self._seq += 1
+        lease_id = f"lease-{self._seq:06d}"
+        self._leases[lease_id] = _Lease(index=index, holder=holder)
+        return lease_id, self._tasks[index]
+
+    def _report_locked(self, lease_id: str, outcome: _Outcome) -> bool:
+        lease = self._leases.pop(lease_id, None)
+        if lease is None:
+            return False
+        if isinstance(outcome, TaskFailure):
+            self._fail_locked(lease.index, outcome)
+            return True
+        records, baselines = outcome
+        task = self._tasks[lease.index]
+        self._plan.store.append_all(records)
+        self._plan.sidecar.append_missing(baselines, self._plan.known_keys,
+                                          task.trace_key())
+        self.computed += len(records)
+        self._terminal += 1
+        elapsed = time.monotonic() - self._started  # reprolint: disable=RL002 - progress timing; stderr only, never recorded
+        self._emit(f"  [{self._terminal}/{len(self._tasks)}] "
+                   f"{task.group_name()} via {lease.holder}: "
+                   f"{len(records)} points ({elapsed:.1f}s elapsed)")
+        return True
+
+    def _fail_locked(self, index: int, failure: TaskFailure) -> None:
+        task = self._tasks[index]
+        if task.attempt < self.max_retries:
+            self._tasks[index] = task._replace(attempt=task.attempt + 1)
+            self._pending.append(index)
+            self._emit(f"  {task.group_name()} failed ({failure.kind}); "
+                       f"retry {task.attempt + 1} of {self.max_retries} "
+                       "queued")
+        else:
+            self._quarantine_locked(index, failure)
+
+    def _quarantine_locked(self, index: int, failure: TaskFailure) -> None:
+        task = self._tasks[index]
+        records = _failed_records(task, failure, task.attempt + 1)
+        self._plan.store.append_all(records)
+        self.failed += len(records)
+        name = task.group_name()
+        if name not in self.quarantined:
+            self.quarantined.append(name)
+        self._terminal += 1
+        self._emit(f"  quarantined {name} after {task.attempt + 1} "
+                   f"attempts: {failure.error}")
+
+
 def run_sweep(spec: ScenarioSpec, out: Union[str, Path], jobs: int = 1,
               limit: Optional[int] = None, kernel: Optional[str] = None,
               log: Optional[Callable[[str], None]] = None,
@@ -396,12 +567,12 @@ def run_sweep(spec: ScenarioSpec, out: Union[str, Path], jobs: int = 1,
               max_retries: int = DEFAULT_MAX_RETRIES) -> SweepRunSummary:
     """Run (or resume) ``spec``, persisting results under ``out``.
 
-    ``jobs`` fans tasks out over the persistent worker pool, sharding
-    wide trace groups so the pool stays saturated (records are
-    identical for any value); ``limit`` caps the number of *new* points
-    this invocation computes — the standard way to chunk a long sweep
-    or to exercise resume in tests; ``kernel`` selects the simulation
-    kernel (default: the fast path; the differential tests pass
+    ``jobs`` fans tasks out over the persistent worker slots, sharding
+    wide trace groups so they stay saturated (records are identical for
+    any value); ``limit`` caps the number of *new* points this
+    invocation computes — the standard way to chunk a long sweep or to
+    exercise resume in tests; ``kernel`` selects the simulation kernel
+    (default: the fast path; the differential tests pass
     ``"reference"`` — recorded metrics are bit-identical either way;
     records differ only in their kernel provenance field).  ``log``
     receives one progress line per completed task (default: stderr).
@@ -413,15 +584,18 @@ def run_sweep(spec: ScenarioSpec, out: Union[str, Path], jobs: int = 1,
     ``remaining > 0`` — the sweep resumes later exactly like one
     interrupted by ``--limit`` or a kill, recomputing nothing.
 
-    Failure model (DESIGN.md "Failure model"): a task that fails — its
-    worker died, or it raised — is retried up to ``max_retries`` times
-    (fresh task generation, same lanes).  A task that fails every
-    attempt is *quarantined*: one ``failed`` record per lane is
-    appended to the store (deterministic payload — attempt counts, the
-    constant worker-died text), the sweep keeps going, and the summary
-    reports ``failed`` / ``quarantined`` with ``degraded()`` true.
-    Quarantined points do not count as done on resume, so a later rerun
-    retries exactly that set and successes supersede by newest-wins.
+    Failure model (DESIGN.md "Failure model"): every pending task is
+    leased from the sweep's :class:`SweepBoard`, run through
+    :func:`parallel_imap`, and its outcome reported back; the board
+    requeues a failed task (its worker died, or it raised) up to
+    ``max_retries`` times, and the next round runs the requeued ones.
+    A task that fails every attempt is *quarantined*: one ``failed``
+    record per lane is appended to the store (deterministic payload —
+    attempt counts, the constant worker-died text), the sweep keeps
+    going, and the summary reports ``failed`` / ``quarantined`` with
+    ``degraded()`` true.  Quarantined points do not count as done on
+    resume, so a later rerun retries exactly that set and successes
+    supersede by newest-wins.
     """
     if jobs <= 0:
         raise ValueError("jobs must be positive")
@@ -431,86 +605,31 @@ def run_sweep(spec: ScenarioSpec, out: Union[str, Path], jobs: int = 1,
         raise ValueError("max_retries cannot be negative")
     emit = log if log is not None else (
         lambda line: print(line, file=sys.stderr))
+    stop = should_stop if should_stop is not None else (lambda: False)
 
     # prepare_sweep resolves the kernel in the parent (failing fast on a
     # bad selector), so every task carries the concrete kernel name.
     plan = prepare_sweep(spec, out, jobs=jobs, limit=limit, kernel=kernel)
-    store = plan.store
-    sidecar = plan.sidecar
-    known_keys = plan.known_keys
-    total, skipped = plan.total, plan.skipped
-    tasks = plan.tasks
     if plan.known_baselines and jobs == 1:
         seed_baseline_memo(plan.known_baselines)  # serial: this process walks
 
     emit(plan.describe(spec.name, jobs))
-    computed = 0
-    failed = 0
-    quarantined: List[str] = []
-    started = time.monotonic()  # reprolint: disable=RL002 - progress timing; stderr only, never recorded
-    queue = tasks
-    stopped = False
-    try:
-        while queue and not stopped:
-            retry: List[_GroupTask] = []
-            results = parallel_imap(_run_group, queue, jobs=jobs,
-                                    task_errors="yield")
-            if should_stop is not None and should_stop():
-                results.close()  # nothing dispatched yet; compute nothing
-                break
+    board = SweepBoard(plan, max_retries=max_retries, emit=emit)
+    while not board.done() and not stop():
+        leases = board.grant_all("inline")
+        # Closing the iterator — on a stop, an exception or a Ctrl-C —
+        # cancels the tasks still running (parallel_imap's early-close
+        # contract), so no abandoned simulation keeps burning CPU.
+        with closing(parallel_imap(_run_group, [task for _, task in leases],
+                                   jobs=jobs, task_errors="yield")
+                     ) as results:
             for finished, (index, outcome) in enumerate(results, start=1):
-                task = queue[index]
-                if isinstance(outcome, TaskFailure):
-                    if task.attempt < max_retries:
-                        retry.append(task._replace(
-                            attempt=task.attempt + 1))
-                        emit(f"  {task.group_name()} failed "
-                             f"({outcome.kind}); retry "
-                             f"{task.attempt + 1} of {max_retries} "
-                             "queued")
-                    else:
-                        records = _failed_records(task, outcome,
-                                                  task.attempt + 1)
-                        store.append_all(records)
-                        failed += len(records)
-                        name = task.group_name()
-                        if name not in quarantined:
-                            quarantined.append(name)
-                        emit(f"  quarantined {name} after "
-                             f"{task.attempt + 1} attempts: "
-                             f"{outcome.error}")
-                else:
-                    records, baselines = outcome
-                    store.append_all(records)
-                    sidecar.append_missing(baselines, known_keys,
-                                           task.trace_key())
-                    computed += len(records)
-                    elapsed = time.monotonic() - started  # reprolint: disable=RL002 - progress timing; stderr only, never recorded
-                    emit(f"  [{finished}/{len(queue)}] {task.workload} "
-                         f"core {task.core} seed {task.seed}: "
-                         f"{len(records)} points "
-                         f"({elapsed:.1f}s elapsed)")
-                if should_stop is not None and should_stop() and (
-                        finished < len(queue) or retry):
-                    # Cooperative stop: everything completed so far is
-                    # in the store; closing the iterator cancels the
-                    # queued pool tasks (parallel_imap's early-close
-                    # contract).  Retries are abandoned too — on resume
-                    # their points are still missing, not quarantined.
-                    results.close()
-                    stopped = True
+                board.report(leases[index][0], outcome)
+                if stop() and not board.done():
+                    # Everything completed so far is in the store; the
+                    # cancelled tasks' points stay missing for a resume
+                    # (not quarantined).
                     emit(f"  stop requested; checkpointed after "
-                         f"{finished} of {len(queue)} tasks")
+                         f"{finished} of {len(leases)} tasks")
                     break
-            if not stopped:
-                queue = retry
-    except BaseException:
-        # The persistent pool has no per-call context manager to cancel
-        # the queued tasks; don't leave abandoned simulations burning
-        # CPU behind an exception (or a Ctrl-C).
-        if jobs > 1:
-            shutdown_shared_pool()
-        raise
-    return SweepRunSummary(total=total, skipped=skipped, computed=computed,
-                           remaining=total - skipped - computed - failed,
-                           failed=failed, quarantined=tuple(quarantined))
+    return board.summary()

@@ -21,7 +21,11 @@ Both roles share everything else:
   (with ``Allow``) for known paths with the wrong method;
 * one body reader that checks the limit *before* reading: 411 without a
   ``Content-Length``, 400 for a bad one, 413 over the limit (the
-  daemon's ``--max-body-kb``, a coordinator's :data:`MAX_FRAME_BYTES`);
+  daemon's ``--max-body-kb``, a coordinator's :data:`MAX_FRAME_BYTES`).
+  Any response that leaves a request body unread — those three, and a
+  404, 405 or 409 refusal of a POST — carries ``Connection: close``
+  and ends the keep-alive connection, so the unread bytes are never
+  parsed as a next request;
 * one exception-to-status mapping: ``ProtocolError``, ``SpecError`` and
   an undecodable JSON/YAML body give 400, ``UnknownJobError`` 404,
   ``JobConflictError`` 409, ``QueueFullError`` 429, and anything else
@@ -153,6 +157,7 @@ class SweepRequestHandler(BaseHTTPRequestHandler):
         started = time.monotonic()
         split = urlsplit(self.path)
         self._query = parse_qs(split.query)
+        self._body_read = False
         route, params, path_known = match_route(method, split.path)
         daemon = self.server.service is not None
         try:
@@ -200,6 +205,14 @@ class SweepRequestHandler(BaseHTTPRequestHandler):
                 "request-error", method=method, path=split.path,
                 error=f"{type(error).__name__}: {error}")
         status, body, headers = prepared
+        if not self._body_read and (
+                method == "POST"
+                or self.headers.get("Content-Length", "0") != "0"):
+            # Answered without reading the body: on a keep-alive
+            # connection the unread bytes would be parsed as the next
+            # request, so this response ends the connection.
+            self.close_connection = True
+            headers = {**headers, "Connection": "close"}
         self.send_response(status)
         for name, value in headers.items():
             self.send_header(name, value)
@@ -356,7 +369,9 @@ class SweepRequestHandler(BaseHTTPRequestHandler):
             raise _Refused(_json_response(413, payload_error(
                 f"request body of {length} bytes exceeds the "
                 f"{limit}-byte limit")))
-        return self.rfile.read(length)
+        body = self.rfile.read(length)
+        self._body_read = True
+        return body
 
     def _read_spec(self) -> Dict[str, Any]:
         """The submitted scenario mapping, decoded from YAML when the

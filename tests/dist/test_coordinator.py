@@ -179,6 +179,70 @@ class TestFailurePaths:
         assert board.counts()[1] == 4
 
 
+class TestConcurrency:
+    def test_racing_workers_ingest_every_task_once(self, tmp_path):
+        """Eight threads race leases, heartbeats, expiry sweeps and
+        reports on one board with a tiny switch interval: every first
+        attempt fails and is requeued, every retry succeeds, and each
+        point lands in the store exactly once."""
+        import sys
+
+        from repro.scenarios.spec import point_hash
+
+        spec = parse_spec({"name": "race", "sweep": {
+            **SMALL["sweep"], "seeds": [3, 4, 5],
+            "engines": ["next-line", "stride", "discontinuity", "tifs"]}})
+        plan = prepare_sweep(spec, tmp_path / "out", jobs=16)
+        board = LeaseBoard(plan, max_retries=1, lease_timeout=60.0)
+        errors = []
+
+        def work(worker):
+            try:
+                while (payload := board.request_lease(worker))["state"] \
+                        != "drained":
+                    board.expire_stale()
+                    if payload["state"] == "idle":
+                        time.sleep(0.001)
+                        continue
+                    lease = decode_document(payload["lease"])
+                    board.heartbeat(Heartbeat(lease=lease.lease,
+                                              worker=worker, beat=1))
+                    if lease.task.attempt == 0:
+                        report = TaskFailed(lease=lease.lease, worker=worker,
+                                            kind="error", error="X: first")
+                    else:
+                        report = TaskResult(
+                            lease=lease.lease, worker=worker, baselines={},
+                            records=tuple({"hash": digest}
+                                          for digest, _ in lease.task.lanes))
+                    assert board.submit(report)["status"] == "ok"
+                    assert board.submit(report)["status"] == "stale"
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # Daemon threads: a board wedged by a lost update fails the
+            # test instead of hanging the run.
+            threads = [threading.Thread(target=work, args=(f"w{n}",),
+                                        daemon=True) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert board.done()
+        assert board.counts() == (len(spec.points()), 0, ())
+        lines = (tmp_path / "out" / "results.jsonl").read_text().splitlines()
+        assert sorted(json.loads(line)["hash"] for line in lines) \
+            == sorted(point_hash(point) for point in spec.points())
+
+
 class TestValidation:
     def test_run_distributed_sweep_rejects_bad_arguments(self, tmp_path):
         spec = parse_spec(SMALL)

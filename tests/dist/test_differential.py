@@ -58,7 +58,7 @@ def canonical_bytes(spec, out):
 
 
 def run_distributed(spec, out, **kwargs):
-    from repro.dist import run_distributed_sweep
+    from repro.dist.coordinator import run_distributed_sweep
 
     kwargs.setdefault("workers", 2)
     return run_distributed_sweep(spec, out, **quiet, **kwargs)

@@ -172,6 +172,12 @@ def _die_on_dss(config, workload):
     return workload
 
 
+def _worker_pid(_):
+    import os
+
+    return os.getpid()
+
+
 def _raise_on_three(value):
     if value == 3:
         raise RuntimeError("task three is broken")
@@ -194,7 +200,7 @@ class TestWorkerDeath:
                 assert results[index] == 2 * value
 
     def test_raise_mode_raises_worker_crash_error(self):
-        with pytest.raises(WorkerCrashError, match="isolation"):
+        with pytest.raises(WorkerCrashError, match="killed its worker"):
             list(parallel_imap(_die_on_three, [1, 2, 3, 4, 5], jobs=2))
 
     def test_yield_mode_converts_exceptions_deterministically(self):
@@ -212,8 +218,27 @@ class TestWorkerDeath:
     def test_workload_grid_raises_worker_crash_error(self):
         """The figure runners' fan-out shares the contract: a slice
         that kills its worker raises instead of hanging the run."""
-        with pytest.raises(WorkerCrashError, match="isolation"):
+        with pytest.raises(WorkerCrashError, match="killed its worker"):
             run_workload_grid(_die_on_dss, TINY, jobs=2)
+
+    def test_worker_killed_while_idle_is_replaced(self):
+        """A worker that dies between calls (an OOM kill while idle)
+        costs no task: the next call runs on a fresh slot."""
+        import os
+        import signal
+        import time
+
+        # One task per slot: each item runs on its own slot's worker.
+        pids = set(parallel_map(_worker_pid, [0, 1], jobs=2))
+        executors = list(shared_pool(2).executors)
+        for pid in sorted(pids):
+            os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not all(executor._broken for executor in executors):
+            assert time.monotonic() < deadline, "no slot saw its death"
+            time.sleep(0.01)
+        assert parallel_map(_double, [1, 2, 3], jobs=2) == [2, 4, 6]
+        assert not pids & set(parallel_map(_worker_pid, [0, 1], jobs=2))
 
     def test_bad_task_errors_value_rejected(self):
         with pytest.raises(ValueError, match="task_errors"):

@@ -71,7 +71,7 @@ def disarm(monkeypatch):
 
 
 def run_distributed(out, **kwargs):
-    from repro.dist import run_distributed_sweep
+    from repro.dist.coordinator import run_distributed_sweep
 
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("lease_timeout", 30.0)

@@ -194,6 +194,42 @@ class TestCooperativeStop:
         assert ResultsStore(out).records_path.read_bytes() \
             == ResultsStore(ref_dir).records_path.read_bytes()
 
+    def test_pooled_stop_checkpoints_then_resumes(self, tmp_path):
+        """The same stop under ``jobs=2``: the task still running on the
+        other worker slot is cancelled, not charged as a failure, and a
+        resume repairs to the bytes of an uninterrupted run."""
+        from repro.experiments.parallel import shutdown_shared_pool
+        from repro.scenarios import verify_store
+
+        spec = small_spec()
+        ref_dir = tmp_path / "ref"
+        run_sweep(spec, ref_dir, **quiet)
+
+        stop = {"requested": False}
+
+        def watch(line):
+            if "[1/" in line:
+                stop["requested"] = True
+
+        out = tmp_path / "out"
+        try:
+            first = run_sweep(spec, out, jobs=2, log=watch,
+                              should_stop=lambda: stop["requested"])
+            assert first.remaining > 0
+            assert not [record for record
+                        in ResultsStore(out).load().values()
+                        if "failed" in record]
+
+            resumed = run_sweep(spec, out, jobs=2, **quiet)
+        finally:
+            shutdown_shared_pool()
+        assert resumed.complete() and not resumed.degraded()
+        assert resumed.skipped == len(spec.points()) - first.remaining
+        verify_store(spec, ref_dir, repair=True)
+        verify_store(spec, out, repair=True)
+        assert ResultsStore(out).records_path.read_bytes() \
+            == ResultsStore(ref_dir).records_path.read_bytes()
+
 
 class TestExecution:
     def test_jobs_do_not_change_records(self, tmp_path):

@@ -180,6 +180,32 @@ class TestRoutingAndSchemas:
                 validate_payload("error", payload)
                 assert "sweep coordinator" in payload["error"]
 
+    def test_refused_body_does_not_poison_a_kept_alive_connection(
+            self, tmp_path):
+        """A POST refused before its body is read (here the daemon's
+        409 for a dist route) closes the connection, so a client that
+        reuses it reconnects instead of having the unread body parsed
+        as its next request."""
+        with serve(tmp_path, start=False) as (port, _):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            try:
+                conn.request("POST", "/v1/dist/lease",
+                             body=json.dumps({"worker": "w0"}),
+                             headers={"Content-Type": "application/json"})
+                refused = conn.getresponse()
+                refused.read()
+                assert refused.status == 409
+                assert refused.getheader("Connection") == "close"
+
+                conn.request("GET", "/v1/healthz")
+                health = conn.getresponse()
+                payload = json.loads(health.read())
+            finally:
+                conn.close()
+        assert health.status == 200
+        assert health.getheader("Content-Type") == "application/json"
+        validate_payload("health", payload)
+
     def test_unexpected_handler_error_is_a_structured_500(
             self, tmp_path, monkeypatch):
         """A handler bug must answer with the documented

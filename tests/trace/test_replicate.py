@@ -259,6 +259,24 @@ class TestImportCost:
         # Exit code 1: the sweep stays incomplete (and resumable).
         assert loaded == ["1"]
 
+    def test_server_import_loads_no_fleet_code(self):
+        """``repro serve`` loads :mod:`repro.service.http`, which reads
+        the dist wire documents; in a fresh process that import must
+        not load the coordinator, the worker, the local supervisor or
+        the HTTP client stack."""
+        repo = Path(__file__).resolve().parents[2]
+        forbidden = ("repro.dist.coordinator", "repro.dist.worker",
+                     "repro.dist.local", "urllib.request")
+        probe = ("import sys\n"
+                 "import repro.service.http\n"
+                 "print('loaded', *sorted(set(sys.modules)\n"
+                 f"                        & {set(forbidden)!r}))\n")
+        env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+        stdout = subprocess.run([sys.executable, "-c", probe], env=env,
+                                cwd=repo, capture_output=True, text=True,
+                                timeout=120, check=True).stdout
+        assert stdout.split() == ["loaded"]
+
     def test_lint_loads_no_simulator(self):
         """``repro lint --list-rules`` in a fresh process loads neither
         numpy nor any simulator package."""
