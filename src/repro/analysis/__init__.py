@@ -2,8 +2,8 @@
 
 Run as ``repro lint`` or ``python -m repro.analysis``.  See
 DESIGN.md, "Static analysis & determinism contract", for the rule
-table and the suppression/baseline workflow; ``repro lint
---list-rules`` prints the live registry.
+table and the inline suppressions; ``repro lint --list-rules`` prints
+the live registry.
 
 Rule modules are imported here for their registration side effect —
 a new rule module must be added to this import list to go live.
@@ -12,15 +12,11 @@ a new rule module must be added to this import list to go live.
 from __future__ import annotations
 
 from . import rules_determinism, rules_quality  # noqa: F401  (registry)
-from .baseline import BASELINE_NAME, BaselineError, load_baseline, \
-    write_baseline
 from .core import Finding, Rule, all_rules, register, rule_codes
 from .runner import LintReport, build_parser, check_source, lint_paths, \
     main
 
 __all__ = [
-    "BASELINE_NAME",
-    "BaselineError",
     "Finding",
     "LintReport",
     "Rule",
@@ -28,9 +24,7 @@ __all__ = [
     "build_parser",
     "check_source",
     "lint_paths",
-    "load_baseline",
     "main",
     "register",
     "rule_codes",
-    "write_baseline",
 ]

@@ -10,9 +10,8 @@ and so are the sanctioned exceptions.
 
 The moving parts:
 
-* :class:`Finding` — one diagnostic, content-addressed by a digest over
-  (file, rule, normalized source line, occurrence index) so baselines
-  survive unrelated line drift.
+* :class:`Finding` — one diagnostic: file, position, rule code,
+  message and the source line it points at.
 * :class:`FileContext` — one parsed file plus everything rules need:
   the AST, raw lines, comment-derived suppressions and ``hot`` markers,
   and the file's path *inside* the ``repro`` package (if any), which is
@@ -26,9 +25,8 @@ The moving parts:
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 #: Code attached to meta-findings (unused suppressions / markers) that
 #: are produced by the runner rather than a registered rule.
@@ -42,11 +40,7 @@ PARSE_ERROR_CODE = "RL900"
 class Finding:
     """One diagnostic produced by a rule (or by the runner itself).
 
-    ``context`` is the stripped source line the finding points at; it
-    feeds the digest so the baseline tracks *content*, not line
-    numbers.  ``occurrence`` disambiguates several identical findings
-    (same file, rule, and line text) and is assigned by the runner
-    after collection, in source order.
+    ``context`` is the stripped source line the finding points at.
     """
 
     code: str
@@ -55,34 +49,9 @@ class Finding:
     column: int
     message: str
     context: str = ""
-    occurrence: int = 0
-
-    def digest(self) -> str:
-        """Content address for baseline matching (line-drift immune)."""
-        payload = "\n".join(
-            (self.path, self.code, self.context, str(self.occurrence)))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.column, self.code)
-
-
-def assign_occurrences(findings: Iterable[Finding]) -> List[Finding]:
-    """Number identical (path, code, context) findings in source order.
-
-    Without this, two textually identical violations in one file would
-    collide on a single digest and a baseline entry would grandfather
-    both.
-    """
-    ordered = sorted(findings, key=Finding.sort_key)
-    counters: Dict[Tuple[str, str, str], int] = {}
-    numbered: List[Finding] = []
-    for finding in ordered:
-        key = (finding.path, finding.code, finding.context)
-        index = counters.get(key, 0)
-        counters[key] = index + 1
-        numbered.append(replace(finding, occurrence=index))
-    return numbered
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,11 @@
-"""reprolint driver: file collection, rule execution, baseline, CLI.
+"""reprolint runner: file collection, rule execution, CLI.
 
 ``repro lint`` / ``python -m repro.analysis`` run the registered rules
 over a file tree and gate on the result:
 
-* exit 0 — clean (every finding suppressed or baselined, no unused
-  baseline entries);
-* exit 1 — at least one new finding, or a baseline entry whose
-  finding no longer exists;
-* exit 2 — usage error (bad path, unreadable baseline).
+* exit 0 — clean (every finding suppressed inline, with a rationale);
+* exit 1 — at least one finding;
+* exit 2 — usage error (a path that does not exist).
 
 The per-file pipeline (:func:`check_source`) is pure — it takes source
 text plus the path to report — which is what the fixture tests drive
@@ -25,10 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from .baseline import BASELINE_NAME, BaselineError, load_baseline, \
-    write_baseline
 from .core import META_CODE, PARSE_ERROR_CODE, FileContext, Finding, \
-    all_rules, assign_occurrences, build_function_spans, rule_codes
+    all_rules, build_function_spans, rule_codes
 from .suppressions import parse_directives
 
 #: Directories linted when no paths are given (those that exist).
@@ -40,7 +36,7 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "venv",
 
 
 def check_source(source: str, rel_path: str) -> List[Finding]:
-    """Lint one file's text; returns occurrence-numbered findings.
+    """Lint one file's text; returns its findings in source order.
 
     ``rel_path`` is the POSIX path reported in findings and matched by
     rule scopes — for a real run it is relative to the lint root.
@@ -76,7 +72,7 @@ def check_source(source: str, rel_path: str) -> List[Finding]:
             directives.suppressions.get(finding.line, frozenset())]
 
     kept.extend(_meta_findings(ctx, raw, directives, attached_hot))
-    return assign_occurrences(kept)
+    return sorted(kept, key=Finding.sort_key)
 
 
 def _meta_findings(ctx, raw, directives, attached_hot) -> List[Finding]:
@@ -157,31 +153,20 @@ class LintReport:
 
     root: Path
     files_scanned: int = 0
-    #: Every post-suppression finding, digest-ordered deterministically.
+    #: Every post-suppression finding, in (path, line, column) order.
     findings: List[Finding] = field(default_factory=list)
-    #: Digests matched by the baseline.
-    baselined: frozenset = frozenset()
-    #: Baseline entries whose finding no longer exists.
-    unused_baseline: List[Dict[str, object]] = field(default_factory=list)
-
-    @property
-    def new_findings(self) -> List[Finding]:
-        return [finding for finding in self.findings
-                if finding.digest() not in self.baselined]
 
     @property
     def clean(self) -> bool:
-        return not self.new_findings and not self.unused_baseline
+        return not self.findings
 
     @property
     def exit_code(self) -> int:
         return 0 if self.clean else 1
 
 
-def lint_paths(paths: Sequence[Path], root: Path,
-               baseline: Optional[Dict[str, Dict[str, object]]] = None,
-               ) -> LintReport:
-    """Run every rule over ``paths`` and reconcile with ``baseline``."""
+def lint_paths(paths: Sequence[Path], root: Path) -> LintReport:
+    """Run every rule over ``paths``."""
     report = LintReport(root=root)
     all_findings: List[Finding] = []
     for path in collect_files(paths, root):
@@ -197,12 +182,6 @@ def lint_paths(paths: Sequence[Path], root: Path,
         all_findings.extend(check_source(source, rel))
         report.files_scanned += 1
     report.findings = sorted(all_findings, key=Finding.sort_key)
-    if baseline:
-        present = {finding.digest() for finding in report.findings}
-        report.baselined = frozenset(baseline) & present
-        report.unused_baseline = [
-            entry for digest, entry in sorted(baseline.items())
-            if digest not in present]
     return report
 
 
@@ -211,56 +190,34 @@ def lint_paths(paths: Sequence[Path], root: Path,
 
 
 def render_text(report: LintReport) -> str:
-    lines: List[str] = []
-    baselined = 0
-    for finding in report.findings:
-        if finding.digest() in report.baselined:
-            baselined += 1
-            continue
-        lines.append(f"{finding.path}:{finding.line}:"
-                     f"{finding.column + 1}: {finding.code} "
-                     f"{finding.message}")
-    for entry in report.unused_baseline:
-        lines.append(f"{entry.get('file', '?')}: baseline entry "
-                     f"{entry.get('digest')} ({entry.get('code')}) no "
-                     "longer matches any finding; remove it")
-    new = len(report.findings) - baselined
+    lines = [f"{finding.path}:{finding.line}:{finding.column + 1}: "
+             f"{finding.code} {finding.message}"
+             for finding in report.findings]
     if report.clean:
-        lines.append(f"reprolint: clean ({report.files_scanned} files, "
-                     f"{baselined} baselined findings)")
+        lines.append(f"reprolint: clean ({report.files_scanned} files)")
     else:
-        lines.append(f"reprolint: {new} finding(s) "
-                     f"({baselined} baselined, "
-                     f"{len(report.unused_baseline)} unused baseline "
-                     f"entries, {report.files_scanned} files)")
+        lines.append(f"reprolint: {len(report.findings)} finding(s) "
+                     f"({report.files_scanned} files)")
     return "\n".join(lines)
 
 
 def render_json(report: LintReport) -> str:
-    findings = []
-    for finding in report.findings:
-        digest = finding.digest()
-        findings.append({
+    findings = [
+        {
             "code": finding.code,
             "file": finding.path,
             "line": finding.line,
             "column": finding.column + 1,
             "message": finding.message,
             "context": finding.context,
-            "digest": digest,
-            "baselined": digest in report.baselined,
-        })
+        }
+        for finding in report.findings
+    ]
     payload = {
-        "version": 1,
+        "version": 2,
         "files_scanned": report.files_scanned,
         "findings": findings,
-        "unused_baseline": report.unused_baseline,
-        "summary": {
-            "total": len(findings),
-            "new": len(report.new_findings),
-            "baselined": len(report.baselined),
-            "unused_baseline": len(report.unused_baseline),
-        },
+        "summary": {"total": len(findings)},
         "clean": report.clean,
     }
     return json.dumps(payload, indent=2)
@@ -289,14 +246,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="output_format",
                         help="report format (default: text)")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="baseline file (default: "
-                             f"<root>/{BASELINE_NAME})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline entirely")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from the current "
-                             "findings and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table and exit")
 
@@ -329,24 +278,11 @@ def run(args: argparse.Namespace, out=None, err=None) -> int:
     else:
         paths = [Path(name) for name in DEFAULT_PATHS
                  if (root / name).is_dir()]
-    baseline_path = args.baseline if args.baseline is not None \
-        else root / BASELINE_NAME
     try:
-        baseline = {} if args.no_baseline \
-            else load_baseline(baseline_path)
-    except BaselineError as error:
-        print(f"repro lint: {error}", file=err)
-        return 2
-    try:
-        report = lint_paths(paths, root, baseline=baseline)
+        report = lint_paths(paths, root)
     except FileNotFoundError as error:
         print(f"repro lint: no such path: {error}", file=err)
         return 2
-    if args.update_baseline:
-        count = write_baseline(baseline_path, report.findings)
-        print(f"repro lint: wrote {count} entries to {baseline_path}",
-              file=out)
-        return 0
     if args.output_format == "json":
         print(render_json(report), file=out)
     else:

@@ -78,8 +78,7 @@ class InstructionCache:
     :class:`AccessResult` for external consumers.
     """
 
-    def __init__(self, config: Optional[CacheConfig] = None,
-                 rng: Optional[random.Random] = None) -> None:
+    def __init__(self, config: Optional[CacheConfig] = None) -> None:
         self.config = config if config is not None else CacheConfig()
         self.stats = CacheStats()
         self._n_sets = self.config.n_sets
@@ -94,12 +93,10 @@ class InstructionCache:
         self._tick = 0
         replacement = self.config.replacement
         if replacement == "random":
-            # One RNG per set when none is shared, matching the policy
-            # objects the reference model builds (Random(0) each).
+            # One RNG per set, matching the policy objects the reference
+            # model builds (Random(0) each).
             self._rngs: Optional[List[random.Random]] = [
-                rng if rng is not None else random.Random(0)
-                for _ in range(self._n_sets)
-            ]
+                random.Random(0) for _ in range(self._n_sets)]
         else:
             self._rngs = None
         # Two-way LRU/FIFO (the paper's L1-I geometry) collapses recency

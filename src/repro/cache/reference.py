@@ -17,7 +17,6 @@ prove the change here.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -45,15 +44,14 @@ class ReferenceInstructionCache:
     the simulation engines.
     """
 
-    def __init__(self, config: Optional[CacheConfig] = None,
-                 rng: Optional[random.Random] = None) -> None:
+    def __init__(self, config: Optional[CacheConfig] = None) -> None:
         self.config = config if config is not None else CacheConfig()
         self.stats = CacheStats()
         self._n_sets = self.config.n_sets
         self._ways = self.config.associativity
         self._sets: List[Dict[int, _Line]] = [dict() for _ in range(self._n_sets)]
         self._policies: List[ReplacementPolicy] = [
-            make_policy(self.config.replacement, self._ways, rng)
+            make_policy(self.config.replacement, self._ways)
             for _ in range(self._n_sets)
         ]
         self._way_of: List[Dict[int, int]] = [dict() for _ in range(self._n_sets)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import List, Optional
+from typing import List
 
 
 class ReplacementPolicy(ABC):
@@ -90,11 +90,12 @@ class FIFOPolicy(ReplacementPolicy):
 
 
 class RandomPolicy(ReplacementPolicy):
-    """Uniform-random victim selection (deterministic under a seeded RNG)."""
+    """Uniform-random victim selection, deterministic: each policy (one
+    per set) draws from its own ``Random(0)``."""
 
-    def __init__(self, associativity: int, rng: Optional[random.Random] = None) -> None:
+    def __init__(self, associativity: int) -> None:
         super().__init__(associativity)
-        self._rng = rng if rng is not None else random.Random(0)
+        self._rng = random.Random(0)
 
     def on_access(self, way: int) -> None:
         pass
@@ -106,13 +107,12 @@ class RandomPolicy(ReplacementPolicy):
         return self._rng.randrange(self.associativity)
 
 
-def make_policy(name: str, associativity: int,
-                rng: Optional[random.Random] = None) -> ReplacementPolicy:
+def make_policy(name: str, associativity: int) -> ReplacementPolicy:
     """Factory keyed by the :class:`~repro.common.config.CacheConfig` name."""
     if name == "lru":
         return LRUPolicy(associativity)
     if name == "fifo":
         return FIFOPolicy(associativity)
     if name == "random":
-        return RandomPolicy(associativity, rng)
+        return RandomPolicy(associativity)
     raise ValueError(f"unknown replacement policy {name!r}")

@@ -190,9 +190,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             print(f"unknown engine {name!r}; choose from {ENGINE_NAMES}",
                   file=sys.stderr)
             return 2
-    if args.jobs <= 0:
-        print("--jobs must be positive", file=sys.stderr)
-        return 2
     print(f"{'workload':12s}  " + "  ".join(f"{n:>10s}" for n in engines))
     tasks = [_CompareTask(workload, engines, args.instructions, args.seed,
                           args.cache_kb, args.warmup)
@@ -263,9 +260,6 @@ def cmd_traces_build(args: argparse.Namespace) -> int:
 
     store = _store_for(args)
     if store is None:
-        return 2
-    if args.jobs <= 0:
-        print("--jobs must be positive", file=sys.stderr)
         return 2
     config = QUICK_CONFIG if args.quick else ExperimentConfig()
     instructions = (args.instructions if args.instructions is not None
@@ -417,9 +411,6 @@ def cmd_sweep_run(args: argparse.Namespace) -> int:
     """
     from .scenarios import run_sweep
 
-    if args.jobs <= 0:
-        print("--jobs must be positive", file=sys.stderr)
-        return 2
     if args.limit is not None and args.limit < 0:
         print("--limit cannot be negative", file=sys.stderr)
         return 2
@@ -654,8 +645,8 @@ def cmd_worker(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     """Run reprolint (see :mod:`repro.analysis`) and gate on the result.
 
-    Exit 0 = clean, 1 = non-baselined findings or unused baseline
-    entries, 2 = usage error — the same contract CI relies on.
+    Exit 0 = clean, 1 = findings (any not suppressed inline), 2 =
+    usage error — the same contract CI relies on.
     """
     from .analysis import runner
 

@@ -186,8 +186,7 @@ def run_distributed_sweep(spec: ScenarioSpec, out: Union[str, Path], *,
     emit = log if log is not None else (
         lambda line: print(line, file=sys.stderr))
 
-    plan = prepare_sweep(spec, out, jobs=workers, limit=limit,
-                         attach_baselines=True)
+    plan = prepare_sweep(spec, out, jobs=workers, limit=limit)
     emit(plan.describe(spec.name, workers) + f", transport={transport}")
     board = LeaseBoard(plan, max_retries=max_retries,
                        lease_timeout=lease_timeout, emit=emit)

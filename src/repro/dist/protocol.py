@@ -5,7 +5,7 @@ workers:
 
 * ``task-lease`` — one leased :class:`~repro.scenarios.runner._GroupTask`
   (the coordinator → worker direction, nested in the ``lease`` response
-  payload): full task identity — trace tuple, warmup, kernel, attempt
+  payload): full task identity — trace tuple, warmup, attempt
   generation, every lane's point hash + identity + display label — plus
   the coordinator's generator-version prefix so a mismatched worker can
   refuse before computing records the store would ignore;
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Tuple, Union
 
 from ..scenarios.runner import _GroupTask
 from ..scenarios.spec import SweepPoint, point_hash
@@ -49,8 +49,7 @@ _CACHE_KEYS = frozenset({"capacity_bytes", "associativity", "block_bytes",
                          "replacement"})
 _LANE_KEYS = frozenset({"hash", "label", "point"})
 _TASK_KEYS = frozenset({"workload", "instructions", "seed", "core",
-                        "warmup", "kernel", "attempt", "lanes",
-                        "baselines"})
+                        "warmup", "attempt", "lanes", "baselines"})
 
 _LEASE_KEYS = frozenset({"type", "lease", "generator", "task"})
 _RECORDS_KEYS = frozenset({"type", "lease", "worker", "records",
@@ -117,7 +116,6 @@ def task_to_wire(task: _GroupTask) -> Dict[str, Any]:
         "seed": task.seed,
         "core": task.core,
         "warmup": task.warmup,
-        "kernel": task.kernel,
         "attempt": task.attempt,
         "lanes": [
             {"hash": digest, "label": point.label,
@@ -173,10 +171,6 @@ def task_from_wire(document: Any) -> _GroupTask:
     """
     document = _require_mapping(document, "task")
     _require_keys("task", document, _TASK_KEYS)
-    kernel = document["kernel"]
-    if kernel is not None and not isinstance(kernel, str):
-        raise ProtocolError(f"task.kernel must be a string or null, got "
-                            f"{_type_name(kernel)}")
     baselines = document["baselines"]
     if baselines is not None:
         baselines = dict(_require_mapping(baselines, "task.baselines"))
@@ -212,7 +206,6 @@ def task_from_wire(document: Any) -> _GroupTask:
         core=_field(document, "core", int, "task", "an integer"),
         warmup=float(_field(document, "warmup", (int, float), "task",
                             "a number")),
-        kernel=kernel,
         lanes=tuple(lanes),
         baselines=baselines,
         attempt=_field(document, "attempt", int, "task", "an integer"),

@@ -57,7 +57,7 @@ from .protocol import (Heartbeat, ProtocolError, TaskFailed, TaskLease,
                        TaskResult, decode_document, encode)
 
 #: Seconds between lease-renewal heartbeats while a walk runs.
-DEFAULT_HEARTBEAT_INTERVAL = 5.0
+HEARTBEAT_INTERVAL = 5.0
 
 #: Seconds a drained/idle worker sleeps between lease requests.
 DEFAULT_POLL_INTERVAL = 0.5
@@ -106,23 +106,23 @@ class CoordinatorClient:
 
 
 class _HeartbeatPump:
-    """Daemon thread renewing one lease while its walk runs; stops
+    """Daemon thread renewing one lease every
+    :data:`HEARTBEAT_INTERVAL` seconds while its walk runs; stops
     silently on transport failure (the lease will expire, which is the
     correct outcome when the coordinator is gone)."""
 
-    def __init__(self, client: CoordinatorClient, lease: str, worker: str,
-                 interval: float) -> None:
+    def __init__(self, client: CoordinatorClient, lease: str,
+                 worker: str) -> None:
         self._client = client
         self._lease = lease
         self._worker = worker
-        self._interval = interval
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name=f"heartbeat-{lease}")
 
     def _run(self) -> None:
         beat = 0
-        while not self._stop.wait(self._interval):
+        while not self._stop.wait(HEARTBEAT_INTERVAL):
             beat += 1
             try:
                 self._client.heartbeat(Heartbeat(
@@ -136,12 +136,11 @@ class _HeartbeatPump:
 
     def __exit__(self, *exc_info) -> None:
         self._stop.set()
-        self._thread.join(timeout=self._interval + 1.0)
+        self._thread.join(timeout=HEARTBEAT_INTERVAL + 1.0)
 
 
 def run_worker(coordinator: str, worker_id: str, *,
                poll_interval: float = DEFAULT_POLL_INTERVAL,
-               heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
                log: Optional[Callable[[str], None]] = None,
                client: Optional[CoordinatorClient] = None,
                fetch_traces: bool = False,
@@ -173,7 +172,7 @@ def run_worker(coordinator: str, worker_id: str, *,
             stack.enter_context(replicate.installed(fetcher))
         try:
             return _lease_loop(client, worker_id, fetcher, emit,
-                               poll_interval, heartbeat_interval)
+                               poll_interval)
         finally:
             # Drop any coordinator generator override this loop
             # installed, and the trace memo built under it — the
@@ -186,8 +185,7 @@ def run_worker(coordinator: str, worker_id: str, *,
 
 def _lease_loop(client: CoordinatorClient, worker_id: str,
                 fetcher: Optional[replicate.TraceFetcher],
-                emit: Callable[[str], None], poll_interval: float,
-                heartbeat_interval: float) -> int:
+                emit: Callable[[str], None], poll_interval: float) -> int:
     generator = current_generator()
     override_installed = False
     transport_failures = 0
@@ -254,8 +252,7 @@ def _lease_loop(client: CoordinatorClient, worker_id: str,
                      "would be stale — exiting")
                 return 2
         task = lease.task
-        with _HeartbeatPump(client, lease.lease, worker_id,
-                            heartbeat_interval):
+        with _HeartbeatPump(client, lease.lease, worker_id):
             try:
                 # dist.worker fires before the walk (kill here models a
                 # worker dying mid-task: lease expiry + requeue);

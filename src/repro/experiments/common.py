@@ -41,13 +41,6 @@ class ExperimentConfig:
     cache: CacheConfig = field(default_factory=lambda: EXPERIMENT_CACHE)
     pif: PIFConfig = field(default_factory=lambda: EXPERIMENT_PIF)
 
-    def scaled(self, factor: float) -> ExperimentConfig:
-        """A copy with the trace length scaled (for quick/bench modes)."""
-        from dataclasses import replace
-
-        return replace(self,
-                       instructions=max(50_000, int(self.instructions * factor)))
-
 
 #: A configuration small enough for CI smoke runs of every experiment.
 QUICK_CONFIG = ExperimentConfig(instructions=300_000, cores=1)

@@ -151,8 +151,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.jobs <= 0:
-        parser.error("--jobs must be positive")
     figures = None
     if args.figures is not None:
         figures = [name.strip() for name in args.figures.split(",")

@@ -4,9 +4,6 @@ PIF itself lives in :mod:`repro.core`; it implements the same
 :class:`Prefetcher` interface and is registered here for convenience.
 """
 
-from typing import Optional
-
-from ..common.config import PIFConfig
 from .base import NullPrefetcher, PrefetchStats, Prefetcher
 from .discontinuity import DiscontinuityPrefetcher
 from .nextline import NextLinePrefetcher
@@ -32,14 +29,14 @@ PREFETCHER_NAMES = ("none", "next-line", "next-line-miss", "stride",
                     "discontinuity", "tifs", "pif", "pif-no-tlsep")
 
 
-def make_prefetcher(name: str, pif_config: Optional[PIFConfig] = None,
-                    block_bytes: int = 64) -> Prefetcher:
+def make_prefetcher(name: str, block_bytes: int = 64) -> Prefetcher:
     """Factory over every engine the experiments compare.
 
     Names (:data:`PREFETCHER_NAMES`): ``none``, ``next-line``,
     ``next-line-miss``, ``stride``, ``discontinuity``, ``tifs``,
     ``pif``, ``pif-no-tlsep`` (PIF without trap-level separation, for
-    the RetireSep ablation).
+    the RetireSep ablation).  Both PIF names use the paper's
+    :class:`~repro.common.config.PIFConfig`.
     """
     if name == "none":
         return NullPrefetcher()
@@ -56,11 +53,11 @@ def make_prefetcher(name: str, pif_config: Optional[PIFConfig] = None,
     if name == "pif":
         from ..core.pif import ProactiveInstructionFetch
 
-        return ProactiveInstructionFetch(pif_config, block_bytes=block_bytes)
+        return ProactiveInstructionFetch(block_bytes=block_bytes)
     if name == "pif-no-tlsep":
         from ..core.pif import ProactiveInstructionFetch
 
-        return ProactiveInstructionFetch(pif_config, block_bytes=block_bytes,
+        return ProactiveInstructionFetch(block_bytes=block_bytes,
                                          separate_trap_levels=False)
     raise ValueError(f"unknown prefetcher {name!r}")
 

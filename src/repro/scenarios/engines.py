@@ -10,14 +10,16 @@ a scenario can sweep any knob an engine exposes.  Two jobs:
   :class:`~repro.scenarios.spec.SweepPoint` (engines carry learned
   state, so every simulation point gets its own).
 
-Parameter defaults match the experiment suite's operating points
-(``make_prefetcher``): a scenario that names an engine with no params
-simulates exactly what ``repro compare`` runs.  PIF parameters are the
-:class:`~repro.common.config.PIFConfig` fields (counts of hardware
-entries, not bytes) plus ``unbounded_index``; note the bare defaults
-are the *paper's* operating point (``sab_window_regions=7``) — the
-half-scale experiment point sets ``sab_count: 4, sab_window_regions: 3``
-explicitly, as the checked-in scenarios do.
+Parameter defaults are :func:`repro.prefetch.make_prefetcher`'s: a
+scenario that names an engine with no params simulates the engine
+``repro compare`` and the experiments run, except for PIF.  PIF
+parameters are the :class:`~repro.common.config.PIFConfig` fields
+(counts of hardware entries, not bytes) plus ``unbounded_index``, and a
+bare ``pif`` is the *paper's* operating point (``PIFConfig()``, a
+7-region SAB window), while ``repro compare`` and the figures run the
+half-scale experiment point (a 3-region window,
+``sab_count: 4, sab_window_regions: 3``); a scenario that wants the
+latter sets it explicitly, as the checked-in scenarios do.
 """
 
 from __future__ import annotations
@@ -95,10 +97,12 @@ def build_engine(engine: str, params: Mapping[str, Any],
     line size — PIF's region decoding depends on it.
 
     A parameterless entry delegates to
-    :func:`repro.prefetch.make_prefetcher`, so a bare engine name in a
-    scenario simulates *by construction* the operating point
-    ``repro compare`` and the experiments run; only parameterized
-    variants go through the explicit constructors below.
+    :func:`repro.prefetch.make_prefetcher`, so a bare engine name
+    simulates the operating point ``repro compare`` and the experiments
+    run for every engine but PIF: a bare ``pif`` is ``PIFConfig()``
+    (7-region SAB window), theirs is the 3-region experiment point
+    (module docstring).  Only parameterized variants go through the
+    explicit constructors below.
     """
     params = dict(params)
     if not params:

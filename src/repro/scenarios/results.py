@@ -123,10 +123,6 @@ class ResultsStore:
 
     # ------------------------------------------------------------------
 
-    def append(self, record: Dict[str, Any]) -> None:
-        """Append one completed-point record (atomic rewrite)."""
-        self.append_all([record])
-
     def append_all(self, records: Iterable[Dict[str, Any]]) -> None:
         """Append several records in one fsync-and-rename cycle."""
         records = list(records)
@@ -233,11 +229,6 @@ class BaselineSidecar:
                                                         str)
                     and isinstance(record.get("baseline"), dict)):
                 yield record
-
-    def load(self) -> Dict[str, Dict[str, Any]]:
-        """All readable sidecar entries, keyed by baseline memo key."""
-        return {record["key"]: record["baseline"]
-                for record in self._lines()}
 
     def load_all(self) -> Tuple[Dict[str, Dict[str, Any]],
                                 Dict[tuple, Dict[str, Dict[str, Any]]]]:

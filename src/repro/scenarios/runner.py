@@ -69,7 +69,7 @@ from ..experiments.parallel import TaskFailure, parallel_imap
 from ..faults import fire
 from ..pipeline.tracegen import cached_trace
 from ..sim.baseline import export_baseline_memo, seed_baseline_memo
-from ..sim.engine import resolve_kernel, run_multi_prefetch_simulation
+from ..sim.engine import run_multi_prefetch_simulation
 from ..sim.timing import run_timing_simulation
 from .engines import build_engine
 from .results import BaselineSidecar, ResultsStore, current_generator
@@ -116,11 +116,11 @@ class _GroupTask(NamedTuple):
     seed: int
     core: int
     warmup: float
-    kernel: Optional[str]
     #: (point hash, point) per lane, in spec expansion order.
     lanes: Tuple[Tuple[str, SweepPoint], ...]
     #: Baseline-memo sidecar entries for *this task's trace*, seeded
-    #: into the worker process (None on first runs; see BaselineSidecar).
+    #: into the process that runs it (None on first runs; see
+    #: BaselineSidecar).
     baselines: Optional[Dict[str, Dict[str, Any]]] = None
     #: Retry generation: 0 on first submission, +1 per retry.  Part of
     #: the ``worker.task`` fault key, so plans can target first
@@ -178,11 +178,10 @@ def _run_group(task: _GroupTask
     configs = [_cache_config(point) for _, point in task.lanes]
     sims = run_multi_prefetch_simulation(
         bundle, engines, cache_configs=configs,
-        warmup_fraction=task.warmup, kernel=task.kernel)
+        warmup_fraction=task.warmup)
 
     timing_baselines: Dict[CacheConfig, float] = {}
     generator = current_generator()
-    kernel = resolve_kernel(task.kernel)
     records: List[Dict[str, Any]] = []
     for (digest, point), config, sim in zip(task.lanes, configs, sims):
         metrics: Dict[str, Any] = {
@@ -200,15 +199,14 @@ def _run_group(task: _GroupTask
             base_uipc = timing_baselines.get(config)
             if base_uipc is None:
                 base_uipc = run_timing_simulation(
-                    bundle, None, system, task.warmup,
-                    kernel=task.kernel).uipc()
+                    bundle, None, system, task.warmup).uipc()
                 timing_baselines[config] = base_uipc
             # The coverage walk mutated this lane's engine; the timing
             # model needs a fresh one, exactly as the figure runners do.
             timed = run_timing_simulation(
                 bundle, build_engine(point.engine, dict(point.params),
                                      point.block_bytes),
-                system, task.warmup, kernel=task.kernel)
+                system, task.warmup)
             metrics["uipc"] = timed.uipc()
             metrics["speedup"] = (timed.uipc() / base_uipc
                                   if base_uipc else 0.0)
@@ -216,7 +214,6 @@ def _run_group(task: _GroupTask
             "hash": digest,
             "label": point.label,
             "generator": generator,
-            "kernel": kernel,
             "point": point.identity(),
             "metrics": metrics,
         })
@@ -260,7 +257,6 @@ def _failed_records(task: _GroupTask, failure: TaskFailure,
             "hash": digest,
             "label": point.label,
             "generator": generator,
-            "kernel": task.kernel,
             "point": point.identity(),
             "failed": {"attempts": attempts, "kind": failure.kind,
                        "error": failure.error},
@@ -269,8 +265,7 @@ def _failed_records(task: _GroupTask, failure: TaskFailure,
     ]
 
 
-def _group_tasks(pending: List[Tuple[str, SweepPoint]],
-                 kernel: Optional[str]) -> List[_GroupTask]:
+def _group_tasks(pending: List[Tuple[str, SweepPoint]]) -> List[_GroupTask]:
     """Group pending points into one task per (trace, warmup) walk,
     preserving first-seen group order and in-group lane order."""
     groups: Dict[Tuple[str, int, int, int, float],
@@ -281,8 +276,7 @@ def _group_tasks(pending: List[Tuple[str, SweepPoint]],
         groups.setdefault(key, []).append((digest, point))
     return [
         _GroupTask(workload=key[0], instructions=key[1], seed=key[2],
-                   core=key[3], warmup=key[4], kernel=kernel,
-                   lanes=tuple(lanes))
+                   core=key[3], warmup=key[4], lanes=tuple(lanes))
         for key, lanes in groups.items()
     ]
 
@@ -332,8 +326,6 @@ class SweepPlan(NamedTuple):
 
     store: ResultsStore
     sidecar: BaselineSidecar
-    #: All sidecar entries by memo key (seed for a serial walk).
-    known_baselines: Dict[str, Dict[str, Any]]
     #: Keys already persisted — updated in place as groups finish.
     known_keys: set
     total: int      #: points the scenario expands to
@@ -351,41 +343,30 @@ class SweepPlan(NamedTuple):
 
 
 def prepare_sweep(spec: ScenarioSpec, out: Union[str, Path], jobs: int = 1,
-                  limit: Optional[int] = None,
-                  kernel: Optional[str] = None,
-                  attach_baselines: Optional[bool] = None) -> SweepPlan:
+                  limit: Optional[int] = None) -> SweepPlan:
     """Resolve a sweep invocation into a :class:`SweepPlan`.
 
     Opens (creating if needed) the results store under ``out``, records
     the launching spec, computes the missing-point set, groups and
-    shards it exactly as :func:`run_sweep` would for ``jobs``, and —
-    when ``attach_baselines`` (default: ``jobs > 1``) — attaches each
-    task's trace-scoped sidecar entries so remote workers can seed
-    their baseline memos without a shared filesystem.
+    shards it exactly as :func:`run_sweep` would for ``jobs``, and
+    attaches each task's trace-scoped sidecar entries, which
+    :func:`_run_group` seeds into the baseline memo of whichever
+    process runs the task — inline, a pool slot, or a fleet worker
+    without a shared filesystem.
     """
-    kernel = resolve_kernel(kernel)
     store = ResultsStore(out)
     store.write_scenario(spec.source)
     sidecar = BaselineSidecar(out)
-    known_baselines, baselines_by_trace = sidecar.load_all()
-    known_keys = set(known_baselines)
+    stored, baselines_by_trace = sidecar.load_all()
+    known_keys = set(stored)
     pending, skipped = missing_points(spec, store)
     total = skipped + len(pending)
     selected = pending if limit is None else pending[:limit]
-    groups = _group_tasks(selected, kernel)
-    tasks = _shard_tasks(groups, jobs)
-    if attach_baselines is None:
-        attach_baselines = jobs > 1
-    if baselines_by_trace and attach_baselines:
-        # Each task ships only its own trace's sidecar entries.
-        tasks = [
-            task._replace(baselines=entries) if (
-                entries := baselines_by_trace.get(task.trace_key()))
-            else task
-            for task in tasks
-        ]
+    groups = _group_tasks(selected)
+    # Each task ships only its own trace's sidecar entries.
+    tasks = [task._replace(baselines=baselines_by_trace.get(task.trace_key()))
+             for task in _shard_tasks(groups, jobs)]
     return SweepPlan(store=store, sidecar=sidecar,
-                     known_baselines=known_baselines,
                      known_keys=known_keys, total=total, skipped=skipped,
                      selected=len(selected), groups=len(groups),
                      tasks=tasks)
@@ -561,7 +542,7 @@ class SweepBoard:
 
 
 def run_sweep(spec: ScenarioSpec, out: Union[str, Path], jobs: int = 1,
-              limit: Optional[int] = None, kernel: Optional[str] = None,
+              limit: Optional[int] = None,
               log: Optional[Callable[[str], None]] = None,
               should_stop: Optional[Callable[[], bool]] = None,
               max_retries: int = DEFAULT_MAX_RETRIES) -> SweepRunSummary:
@@ -571,11 +552,8 @@ def run_sweep(spec: ScenarioSpec, out: Union[str, Path], jobs: int = 1,
     wide trace groups so they stay saturated (records are identical for
     any value); ``limit`` caps the number of *new* points this
     invocation computes — the standard way to chunk a long sweep or to
-    exercise resume in tests; ``kernel`` selects the simulation kernel
-    (default: the fast path; the differential tests pass
-    ``"reference"`` — recorded metrics are bit-identical either way;
-    records differ only in their kernel provenance field).  ``log``
-    receives one progress line per completed task (default: stderr).
+    exercise resume in tests.  ``log`` receives one progress line per
+    completed task (default: stderr).
 
     ``should_stop`` is the cooperative-stop hook (the sweep service's
     graceful shutdown): polled between tasks, never mid-walk.  When it
@@ -607,12 +585,7 @@ def run_sweep(spec: ScenarioSpec, out: Union[str, Path], jobs: int = 1,
         lambda line: print(line, file=sys.stderr))
     stop = should_stop if should_stop is not None else (lambda: False)
 
-    # prepare_sweep resolves the kernel in the parent (failing fast on a
-    # bad selector), so every task carries the concrete kernel name.
-    plan = prepare_sweep(spec, out, jobs=jobs, limit=limit, kernel=kernel)
-    if plan.known_baselines and jobs == 1:
-        seed_baseline_memo(plan.known_baselines)  # serial: this process walks
-
+    plan = prepare_sweep(spec, out, jobs=jobs, limit=limit)
     emit(plan.describe(spec.name, jobs))
     board = SweepBoard(plan, max_retries=max_retries, emit=emit)
     while not board.done() and not stop():

@@ -9,10 +9,10 @@ quarantined, stale, or foreign — without running a single simulation.
 Checked surfaces:
 
 * ``results.jsonl`` — every line must parse as a record carrying the
-  required envelope (``hash``, ``label``, ``generator``, ``kernel``,
-  ``point``) and exactly one payload (``metrics`` or ``failed``); the
-  stored hash must equal the recomputed content hash of the embedded
-  point identity; with a spec, the hash must belong to the scenario's
+  required envelope (``hash``, ``label``, ``generator``, ``point``)
+  and exactly one payload (``metrics`` or ``failed``); the stored hash
+  must equal the recomputed content hash of the embedded point
+  identity; with a spec, the hash must belong to the scenario's
   expansion.  Current-generator quarantined (``failed``) records are
   *errors* — the run completed degraded; stale-generator records are
   notes.
@@ -49,7 +49,7 @@ from .results import BaselineSidecar, ResultsStore, current_generator
 from .spec import ScenarioSpec, point_hash
 
 #: Envelope fields every results record must carry.
-RECORD_FIELDS = ("hash", "label", "generator", "kernel", "point")
+RECORD_FIELDS = ("hash", "label", "generator", "point")
 
 
 class VerifyFinding(NamedTuple):
@@ -282,15 +282,13 @@ def _check_trace_store(repair: bool, findings: List[VerifyFinding],
 
 
 def verify_store(spec: Optional[ScenarioSpec], out: Union[str, Path],
-                 repair: bool = False,
-                 check_store: bool = True) -> VerifyReport:
+                 repair: bool = False) -> VerifyReport:
     """Fsck the sweep directory ``out`` (and the trace store).
 
     ``spec`` enables membership checks and canonical-order repair; pass
     None to verify a directory whose scenario cannot be loaded (schema
     and hash checks still run).  ``repair`` applies the restorative
-    rewrites described in the module docstring.  ``check_store=False``
-    skips the trace-store surfaces (plans, archives).
+    rewrites described in the module docstring.
     """
     findings: List[VerifyFinding] = []
     checked: Dict[str, int] = {}
@@ -299,8 +297,7 @@ def verify_store(spec: Optional[ScenarioSpec], out: Union[str, Path],
     _check_results(spec, store, repair, findings, checked, repaired)
     _check_sidecar(BaselineSidecar(out), repair, findings, checked,
                    repaired)
-    if check_store:
-        _check_trace_store(repair, findings, checked, repaired)
+    _check_trace_store(repair, findings, checked, repaired)
     return VerifyReport(findings=findings, checked=checked,
                         repaired=repaired)
 

@@ -3,10 +3,11 @@
 Every coverage measurement needs the same denominator: the demand
 misses a plain L1-I takes on the access stream with no prefetcher
 attached.  The generic :class:`~repro.cache.icache.InstructionCache`
-computes it faithfully but expensively — per-access ``AccessResult``
-allocation, per-set policy objects, per-line dataclasses — and, being
-pure bookkeeping with no prefetch interaction, it is the one part of
-the replay that specializes cleanly.
+computes it faithfully, but through a method call per access that also
+maintains what a baseline never reads (the prefetched/referenced flag
+bytes and the prefetch counters).  Being pure bookkeeping with no
+prefetch interaction, the baseline is the one part of the replay that
+specializes cleanly.
 
 :func:`replay_baseline` walks the columnar access stream once with the
 minimal per-set state each replacement policy actually needs (a recency
@@ -89,19 +90,16 @@ def _replay_fifo(blocks: List[int], n_sets: int, ways: int,
 
 # reprolint: hot
 def _replay_random(blocks: List[int], n_sets: int, ways: int,
-                   hits: np.ndarray,
-                   rng: Optional[random.Random]) -> int:
+                   hits: np.ndarray) -> int:
     """Random replay, reproducing the cache model's draw sequence.
 
-    The cache model builds one policy per set; with no shared RNG each
-    set's policy owns an independent ``Random(0)``, and free ways are
-    filled lowest-index first.  Both details are replicated so the
-    victim sequence — and therefore every hit flag — matches.
+    The cache model gives each set an independent ``Random(0)`` and
+    fills free ways lowest-index first.  Both details are replicated so
+    the victim sequence — and therefore every hit flag — matches.
     """
     way_blocks: List[List[Optional[int]]] = [[None] * ways
                                              for _ in range(n_sets)]
-    rngs: List[random.Random] = [
-        rng if rng is not None else random.Random(0) for _ in range(n_sets)]
+    rngs = [random.Random(0) for _ in range(n_sets)]
     evictions = 0
     for position, block in enumerate(blocks):
         index = block % n_sets
@@ -119,15 +117,11 @@ def _replay_random(blocks: List[int], n_sets: int, ways: int,
 
 
 def replay_baseline(bundle: TraceBundle,
-                    config: Optional[CacheConfig] = None,
-                    rng: Optional[random.Random] = None) -> BaselineReplay:
+                    config: Optional[CacheConfig] = None) -> BaselineReplay:
     """Replay ``bundle``'s access stream through a no-prefetch cache.
 
     Bit-identical to driving :class:`~repro.cache.icache.InstructionCache`
-    over every access: same hit flags, same counters.  ``rng`` mirrors
-    the cache constructor's optional shared RNG for the random policy
-    (the default, ``None``, gives each set an independent ``Random(0)``
-    exactly as the cache model does).
+    over every access: same hit flags, same counters.
     """
     cache_config = config if config is not None else CacheConfig()
     blocks = bundle.access_block.tolist()
@@ -138,7 +132,7 @@ def replay_baseline(bundle: TraceBundle,
     elif cache_config.replacement == "fifo":
         evictions = _replay_fifo(blocks, n_sets, ways, hits)
     elif cache_config.replacement == "random":
-        evictions = _replay_random(blocks, n_sets, ways, hits, rng)
+        evictions = _replay_random(blocks, n_sets, ways, hits)
     else:
         raise ValueError(
             f"unknown replacement policy {cache_config.replacement!r}")
@@ -308,18 +302,15 @@ def seed_baseline_memo(entries: Dict[str, Dict[str, object]]) -> int:
     return installed
 
 
-def export_baseline_memo(content_hash: Optional[str] = None
+def export_baseline_memo(content_hash: str
                          ) -> Dict[str, Dict[str, object]]:
-    """Snapshot the process-wide memo in sidecar (JSON) form.
+    """Snapshot one trace's entries of the process-wide memo in
+    sidecar (JSON) form.
 
-    ``content_hash`` scopes the snapshot to one trace's entries (memo
-    keys are prefixed by the trace content hash) — what a sweep task
-    returns, so a long-lived worker never leaks baselines belonging to
-    other traces or other sweeps into a results directory's sidecar.
+    Memo keys are prefixed by the trace content hash, so scoping by it
+    is what keeps a long-lived worker from leaking baselines belonging
+    to other traces or other sweeps into a results directory's sidecar.
     """
-    if content_hash is None:
-        return {memo_key: measured.to_json()
-                for memo_key, measured in _BASELINE_MEMO.items()}
     prefix = content_hash + ":"
     return {memo_key: measured.to_json()
             for memo_key, measured in _BASELINE_MEMO.items()

@@ -466,13 +466,12 @@ def speedup_comparison(
     prefetchers: Dict[str, Prefetcher],
     system: Optional[SystemConfig] = None,
     warmup_fraction: float = 0.25,
-    include_perfect: bool = True,
     kernel: Optional[str] = None,
 ) -> Dict[str, float]:
     """Speedups over the no-prefetch baseline for several engines.
 
     Returns {engine name: speedup}; always includes ``baseline`` (1.0)
-    and, when requested, ``perfect``.
+    and ``perfect`` (a perfect L1-I).
     """
     baseline = run_timing_simulation(bundle, NullPrefetcher(), system,
                                      warmup_fraction, kernel=kernel)
@@ -482,9 +481,7 @@ def speedup_comparison(
         timed = run_timing_simulation(bundle, engine, system,
                                       warmup_fraction, kernel=kernel)
         results[name] = timed.uipc() / base_uipc if base_uipc else 0.0
-    if include_perfect:
-        perfect = run_timing_simulation(bundle, None, system,
-                                        warmup_fraction, perfect_cache=True,
-                                        kernel=kernel)
-        results["perfect"] = perfect.uipc() / base_uipc if base_uipc else 0.0
+    perfect = run_timing_simulation(bundle, None, system, warmup_fraction,
+                                    perfect_cache=True, kernel=kernel)
+    results["perfect"] = perfect.uipc() / base_uipc if base_uipc else 0.0
     return results

@@ -75,6 +75,11 @@ DEFAULT_CHUNK_BYTES = 256 * 1024
 #: Fetch attempts per archive before the fetch fails the task.
 DEFAULT_FETCH_ATTEMPTS = 5
 
+#: Seconds before the first refetch of an archive, and the most any
+#: refetch waits (:func:`repro.common.backoff.backoff_delay`).
+FETCH_BACKOFF_BASE = 0.05
+FETCH_BACKOFF_CAP = 5.0
+
 #: Response headers advertising the whole archive's transfer identity
 #: (sent on every ranged chunk, so a mid-fetch store change is caught).
 SHA_HEADER = "X-Repro-Sha256"
@@ -194,7 +199,6 @@ class TraceFetcher:
     def __init__(self, base_url: str, *, worker_id: str = "",
                  chunk_bytes: Optional[int] = None,
                  max_attempts: int = DEFAULT_FETCH_ATTEMPTS,
-                 backoff_base: float = 0.05, backoff_cap: float = 5.0,
                  timeout: float = 30.0, require_fetch: bool = False,
                  budget_bytes: Optional[int] = None,
                  sleep: Callable[[float], None] = time.sleep) -> None:
@@ -207,8 +211,6 @@ class TraceFetcher:
         if max_attempts <= 0:
             raise ValueError("max_attempts must be positive")
         self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.timeout = timeout
         self.require_fetch = require_fetch
         self.budget_bytes = budget_bytes
@@ -368,8 +370,8 @@ class TraceFetcher:
         for attempt in range(self.max_attempts):
             if attempt:
                 self._sleep(backoff_delay(
-                    attempt - 1, base=self.backoff_base,
-                    cap=self.backoff_cap,
+                    attempt - 1, base=FETCH_BACKOFF_BASE,
+                    cap=FETCH_BACKOFF_CAP,
                     salt=f"{self.worker_id}:{name}"))
             try:
                 fault = fire("replicate.fetch", f"{name}:attempt={attempt}")

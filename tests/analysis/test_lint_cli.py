@@ -1,8 +1,8 @@
-"""``repro lint`` CLI: exit codes, JSON schema, baseline round-trip.
+"""``repro lint`` CLI: exit codes and JSON schema.
 
 The acceptance tests for the lint gate itself live here too: the repo's
-own tree must lint clean against the committed baseline, and a
-deliberately corrupted copy of a real kernel module must be caught.
+own tree must lint clean, and a deliberately corrupted copy of a real
+kernel module must be caught.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import BASELINE_NAME, check_source
+from repro.analysis import check_source
 from repro.cli import build_parser, main
 
 #: The repository root (tests/analysis/ is two levels down).
@@ -59,14 +59,6 @@ class TestExitCodes:
         assert code == 2
         assert "no such path" in capsys.readouterr().err
 
-    def test_malformed_baseline_exits_two(self, tmp_path, capsys):
-        (tmp_path / "mod.py").write_text(CLEAN)
-        baseline = tmp_path / BASELINE_NAME
-        baseline.write_text("{not json")
-        code = run_lint("mod.py", "--root", str(tmp_path))
-        assert code == 2
-        assert "baseline" in capsys.readouterr().err
-
     def test_list_rules(self, capsys):
         assert run_lint("--list-rules") == 0
         out = capsys.readouterr().out
@@ -102,19 +94,15 @@ class TestJsonFormat:
                         "--format", "json")
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert payload["files_scanned"] == 1
         assert payload["clean"] is False
-        assert payload["summary"] == {"total": 1, "new": 1,
-                                      "baselined": 0,
-                                      "unused_baseline": 0}
+        assert payload["summary"] == {"total": 1}
         (finding,) = payload["findings"]
         assert finding["code"] == "RL005"
         assert finding["file"] == "mod.py"
         assert finding["line"] == 1
-        assert finding["baselined"] is False
         assert finding["context"] == "def f(x=[]):"
-        assert len(finding["digest"]) == 16
 
     def test_clean_json(self, tmp_path, capsys):
         (tmp_path / "mod.py").write_text(CLEAN)
@@ -123,50 +111,6 @@ class TestJsonFormat:
         payload = json.loads(capsys.readouterr().out)
         assert payload["clean"] is True
         assert payload["findings"] == []
-
-
-class TestBaselineRoundTrip:
-    def test_full_cycle(self, tmp_path, capsys):
-        """Finding -> baseline -> clean -> code removed -> unused entry."""
-        mod = tmp_path / "mod.py"
-        mod.write_text(VIOLATION)
-        root = ("--root", str(tmp_path))
-
-        # New finding fails the run.
-        assert run_lint("mod.py", *root) == 1
-        # Grandfather it.
-        assert run_lint("mod.py", *root, "--update-baseline") == 0
-        baseline = json.loads(
-            (tmp_path / BASELINE_NAME).read_text())
-        assert len(baseline["entries"]) == 1
-        assert baseline["entries"][0]["code"] == "RL005"
-        # Baselined finding no longer fails.
-        capsys.readouterr()
-        assert run_lint("mod.py", *root) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # Fix the code: the stale baseline entry now fails the run.
-        mod.write_text(CLEAN)
-        capsys.readouterr()
-        assert run_lint("mod.py", *root) == 1
-        assert "no longer matches" in capsys.readouterr().out
-        # --update-baseline clears the debt.
-        assert run_lint("mod.py", *root, "--update-baseline") == 0
-        assert run_lint("mod.py", *root) == 0
-
-    def test_no_baseline_flag_ignores_entries(self, tmp_path):
-        (tmp_path / "mod.py").write_text(VIOLATION)
-        root = ("--root", str(tmp_path))
-        assert run_lint("mod.py", *root, "--update-baseline") == 0
-        assert run_lint("mod.py", *root) == 0
-        assert run_lint("mod.py", *root, "--no-baseline") == 1
-
-    def test_baseline_does_not_cover_new_findings(self, tmp_path):
-        mod = tmp_path / "mod.py"
-        mod.write_text(VIOLATION)
-        root = ("--root", str(tmp_path))
-        assert run_lint("mod.py", *root, "--update-baseline") == 0
-        mod.write_text(VIOLATION + "def g(y={}):\n    return y\n")
-        assert run_lint("mod.py", *root) == 1
 
 
 class TestRepoTree:
@@ -198,8 +142,7 @@ class TestRepoTree:
         assert [f.code for f in findings] == ["RL001"]
         assert findings[0].line == len(corrupted.splitlines())
         # And through the real CLI against the sandbox tree:
-        assert run_lint("src", "--root", str(tmp_path),
-                        "--no-baseline") == 1
+        assert run_lint("src", "--root", str(tmp_path)) == 1
 
     def test_corrupted_timing_wall_clock_is_caught(self, tmp_path):
         """A wall-clock read smuggled into sim/timing.py trips RL002."""

@@ -400,22 +400,3 @@ class TestDirectivesAndMeta:
 
     def test_parse_error_reported(self):
         assert codes("def broken(:\n", TESTS) == ["RL900"]
-
-
-class TestDigests:
-    def test_identical_findings_get_distinct_digests(self):
-        source = ("import random\n"
-                  "x = random.random()\n"
-                  "y = 1\n"
-                  "x = random.random()\n")
-        findings = lint(source)
-        assert [f.code for f in findings] == ["RL001", "RL001"]
-        assert findings[0].digest() != findings[1].digest()
-
-    def test_digest_survives_line_drift(self):
-        source = "import random\nx = random.random()\n"
-        drifted = "import random\n\n\n# padding\nx = random.random()\n"
-        original = lint(source)[0]
-        moved = lint(drifted)[0]
-        assert original.line != moved.line
-        assert original.digest() == moved.digest()

@@ -1,7 +1,5 @@
 """Replacement policy behaviour."""
 
-import random
-
 import pytest
 
 from repro.cache.replacement import (
@@ -60,13 +58,13 @@ class TestFIFOPolicy:
 
 class TestRandomPolicy:
     def test_deterministic_under_seed(self):
-        a = RandomPolicy(4, random.Random(9))
-        b = RandomPolicy(4, random.Random(9))
+        a = RandomPolicy(4)
+        b = RandomPolicy(4)
         assert [a.victim() for _ in range(16)] == [
             b.victim() for _ in range(16)]
 
     def test_victims_in_range(self):
-        policy = RandomPolicy(4, random.Random(1))
+        policy = RandomPolicy(4)
         assert all(0 <= policy.victim() < 4 for _ in range(64))
 
 

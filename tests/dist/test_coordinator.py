@@ -49,8 +49,7 @@ def raw_status(port, text):
 
 
 def make_board(tmp_path, **kwargs):
-    plan = prepare_sweep(parse_spec(SMALL), tmp_path / "out", jobs=2,
-                         attach_baselines=True)
+    plan = prepare_sweep(parse_spec(SMALL), tmp_path / "out", jobs=2)
     kwargs.setdefault("lease_timeout", 60.0)
     return LeaseBoard(plan, **kwargs), plan
 

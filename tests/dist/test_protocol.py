@@ -56,19 +56,17 @@ points = st.builds(
 
 
 def _task_from_points(parts) -> _GroupTask:
-    lanes, kernel, attempt, baselines = parts
+    lanes, attempt, baselines = parts
     first = lanes[0]
     return _GroupTask(
         workload=first.workload, instructions=first.instructions,
         seed=first.seed, core=first.core, warmup=first.warmup,
-        kernel=kernel,
         lanes=tuple((point_hash(point), point) for point in lanes),
         baselines=baselines, attempt=attempt)
 
 
 tasks = st.tuples(
     st.lists(points, min_size=1, max_size=3),
-    st.sampled_from([None, "fast", "reference"]),
     st.integers(min_value=0, max_value=4),
     st.one_of(st.none(),
               st.dictionaries(names, st.fixed_dictionaries(
@@ -221,7 +219,7 @@ class TestMalformed:
             "type": "task-lease", "lease": "lease-000001",
             "generator": "0" * 12,
             "task": {"workload": "w", "instructions": 1, "seed": 0,
-                     "core": 0, "warmup": 0.0, "kernel": None,
+                     "core": 0, "warmup": 0.0,
                      "attempt": 0, "lanes": [], "baselines": None},
         }
         with pytest.raises(ProtocolError, match="non-empty"):

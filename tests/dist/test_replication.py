@@ -152,8 +152,7 @@ class TestTraceRoutes:
 
 class TestWorkerMismatchPolicy:
     def _mismatched_grant(self, tmp_path):
-        plan = prepare_sweep(spec(), tmp_path / "out", jobs=2,
-                             attach_baselines=True)
+        plan = prepare_sweep(spec(), tmp_path / "out", jobs=2)
         set_generator_override(FAKE_GENERATOR)
         try:
             board = LeaseBoard(plan, lease_timeout=60.0)

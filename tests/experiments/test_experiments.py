@@ -37,11 +37,6 @@ class TestCommon:
         assert len(traces) == SMOKE.cores
         assert traces[0].bundle.instructions >= SMOKE.instructions
 
-    def test_scaled(self):
-        scaled = SMOKE.scaled(0.5)
-        assert scaled.instructions == 75_000
-        assert scaled.workloads == SMOKE.workloads
-
     def test_format_table_alignment(self):
         table = format_table(["a", "bb"], [["x", "y"], ["long", "z"]],
                              title="t")

@@ -18,7 +18,7 @@ def record(digest, generator=None, coverage=0.5):
 class TestResultsStore:
     def test_append_load_round_trip(self, tmp_path):
         store = ResultsStore(tmp_path / "out")
-        store.append(record("a" * 64))
+        store.append_all([record("a" * 64)])
         store.append_all([record("b" * 64), record("c" * 64)])
         loaded = store.load()
         assert set(loaded) == {"a" * 64, "b" * 64, "c" * 64}
@@ -26,16 +26,16 @@ class TestResultsStore:
 
     def test_newest_record_wins(self, tmp_path):
         store = ResultsStore(tmp_path)
-        store.append(record("a" * 64, coverage=0.1))
-        store.append(record("a" * 64, coverage=0.9))
+        store.append_all([record("a" * 64, coverage=0.1)])
+        store.append_all([record("a" * 64, coverage=0.9)])
         assert store.load()["a" * 64]["metrics"]["coverage"] == 0.9
 
     def test_truncated_tail_is_skipped(self, tmp_path):
         # A killed run leaves at most one partial trailing line; load
         # must drop it (the point is simply recomputed on resume).
         store = ResultsStore(tmp_path)
-        store.append(record("a" * 64))
-        store.append(record("b" * 64))
+        store.append_all([record("a" * 64)])
+        store.append_all([record("b" * 64)])
         text = store.records_path.read_text()
         store.records_path.write_text(text[:-25])
         loaded = store.load()
@@ -46,15 +46,15 @@ class TestResultsStore:
         # Valid JSON that is not an object (null, arrays, bare numbers)
         # must be tolerated like any other corrupt line, not crash load.
         store = ResultsStore(tmp_path)
-        store.append(record("a" * 64))
+        store.append_all([record("a" * 64)])
         with open(store.records_path, "a") as handle:
             handle.write("null\n[]\n42\n\"text\"\n{\"hash\": 7}\n")
         assert set(store.load()) == {"a" * 64}
 
     def test_load_current_filters_stale_generators(self, tmp_path):
         store = ResultsStore(tmp_path)
-        store.append(record("a" * 64, generator="0" * 12))
-        store.append(record("b" * 64))
+        store.append_all([record("a" * 64, generator="0" * 12)])
+        store.append_all([record("b" * 64)])
         assert set(store.load()) == {"a" * 64, "b" * 64}
         assert set(store.load_current()) == {"b" * 64}
 

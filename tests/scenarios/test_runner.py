@@ -246,23 +246,6 @@ class TestExecution:
             .splitlines())
         assert serial == parallel
 
-    def test_kernels_agree(self, tmp_path):
-        """Reference kernel records identical metrics (kernel field
-        aside) — the differential lock extended to the sweep path."""
-        spec = small_spec(cores=1)
-        run_sweep(spec, tmp_path / "fast", kernel="fast", **quiet)
-        run_sweep(spec, tmp_path / "ref", kernel="reference", **quiet)
-
-        def metrics(root):
-            return {
-                record["hash"]: record["metrics"]
-                for record in map(
-                    json.loads,
-                    ResultsStore(root).records_path.read_text().splitlines())
-            }
-
-        assert metrics(tmp_path / "fast") == metrics(tmp_path / "ref")
-
     def test_lanes_batch_into_one_walk_per_trace(self, tmp_path,
                                                  monkeypatch):
         spec = small_spec()  # 2 engines x 2 cores -> 2 groups of 2 lanes
@@ -309,13 +292,13 @@ class TestSharding:
 
         spec = self.wide_spec()
         pending = [(f"h{i}", point) for i, point in enumerate(spec.points())]
-        groups = _group_tasks(pending, None)
+        groups = _group_tasks(pending)
         assert len(groups) == 1 and len(groups[0].lanes) == 8
         sharded = _shard_tasks(groups, jobs=2)
         assert len(sharded) == 4  # jobs * oversubscription
         assert sorted(len(task.lanes) for task in sharded) == [2, 2, 2, 2]
         # Deterministic: same input -> same shard list.
-        assert sharded == _shard_tasks(_group_tasks(pending, None), jobs=2)
+        assert sharded == _shard_tasks(_group_tasks(pending), jobs=2)
         # Largest-estimated-cost first.
         costs = [task.cost() for task in sharded]
         assert costs == sorted(costs, reverse=True)
@@ -330,7 +313,7 @@ class TestSharding:
 
         spec = small_spec(cores=1)  # 1 group x 2 lanes
         pending = [(f"h{i}", point) for i, point in enumerate(spec.points())]
-        sharded = _shard_tasks(_group_tasks(pending, None), jobs=8)
+        sharded = _shard_tasks(_group_tasks(pending), jobs=8)
         assert len(sharded) == 2  # cannot split below one lane
 
     def test_sharded_run_matches_serial_records(self, tmp_path):
@@ -357,7 +340,7 @@ class TestBaselineSidecar:
         baseline_module.clear_baseline_memo()
         run_sweep(spec, tmp_path, **quiet)
         sidecar = BaselineSidecar(tmp_path)
-        entries = sidecar.load()
+        entries = sidecar.load_all()[0]
         assert entries  # one per (trace, geometry, warmup)
         for payload in entries.values():
             assert payload["misses"] >= 0
@@ -383,10 +366,10 @@ class TestBaselineSidecar:
         spec = small_spec(cores=1)
         run_sweep(spec, tmp_path, **quiet)
         sidecar = BaselineSidecar(tmp_path)
-        good = sidecar.load()
+        good = sidecar.load_all()[0]
         with open(sidecar.path, "a") as handle:
             handle.write("{truncated\n[]\n")
-        assert sidecar.load() == good
+        assert sidecar.load_all()[0] == good
 
 
 class TestReporting:

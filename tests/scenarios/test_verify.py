@@ -159,11 +159,11 @@ class TestRepair:
     def test_repair_drops_damaged_sidecar_lines(self, swept):
         out, _ = swept
         sidecar = BaselineSidecar(out)
-        good = len(sidecar.load())
+        good = len(sidecar.load_all()[0])
         with open(sidecar.path, "a", encoding="utf-8") as fh:
             fh.write("{torn\n")
         verify_store(spec(), out, repair=True)
-        assert len(sidecar.load()) == good
+        assert len(sidecar.load_all()[0]) == good
         assert "{torn" not in sidecar.path.read_text()
 
     def test_repair_deletes_corrupt_plan_cache(self, tmp_path):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.runner import build_parser as experiments_parser
 
 
 class TestParser:
@@ -24,6 +25,18 @@ class TestParser:
     def test_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--engine", "boomerang"])
+
+    @pytest.mark.parametrize("parser,command", [
+        (build_parser, ["compare"]),
+        (build_parser, ["traces", "build"]),
+        (experiments_parser, []),  # python -m repro.experiments
+    ], ids=["compare", "traces-build", "experiments"])
+    def test_rejects_nonpositive_jobs(self, parser, command):
+        # --jobs is validated when the arguments are parsed, so no
+        # command body ever sees a value below 1.
+        with pytest.raises(SystemExit) as bad_jobs:
+            parser().parse_args([*command, "--jobs", "0"])
+        assert bad_jobs.value.code == 2
 
 
 class TestCommands:
