@@ -61,7 +61,8 @@ from typing import List, NamedTuple, Optional, TYPE_CHECKING, Tuple
 # imports what it runs, so parsing the command line (and ``repro lint``)
 # loads none of the simulator.
 from .common.config import CacheConfig, PIFConfig
-from .experiments.parallel import jobs_argument_type
+from .experiments.parallel import (jobs_argument_type,
+                                   positive_int_argument_type)
 from .workloads.spec import WORKLOAD_NAMES
 
 if TYPE_CHECKING:
@@ -92,11 +93,13 @@ def _cache(kilobytes: int) -> CacheConfig:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workload", default="oltp-db2",
                         choices=sorted(WORKLOAD_NAMES))
-    parser.add_argument("--instructions", type=int, default=400_000,
+    parser.add_argument("--instructions", type=positive_int_argument_type,
+                        default=400_000,
                         help="requested trace length per core (retired "
                              "instructions, not fetch accesses)")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--cache-kb", type=int, default=32,
+    parser.add_argument("--cache-kb", type=positive_int_argument_type,
+                        default=32,
                         help="L1-I capacity in KB (2-way)")
 
 
@@ -735,12 +738,14 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--quick", action="store_true",
                        help="QUICK_CONFIG scale (what the CI smoke and "
                             "--quick experiment runs replay)")
-    build.add_argument("--instructions", type=int, default=None,
+    build.add_argument("--instructions", type=positive_int_argument_type,
+                       default=None,
                        help="trace length per core (default: the "
                             "selected experiment config's)")
     build.add_argument("--seed", type=int, default=None,
                        help="root seed (default: the experiment config's)")
-    build.add_argument("--cores", type=int, default=None,
+    build.add_argument("--cores", type=positive_int_argument_type,
+                       default=None,
                        help="cores (independent traces) per workload "
                             "(default: the experiment config's)")
     build.add_argument("--jobs", type=_jobs_value, default=1,

@@ -8,15 +8,19 @@ footprint and million-instruction traces — preserving the
 footprint-to-cache ratio that produces server-like miss behaviour while
 staying laptop-fast in pure Python.  The SAB window is re-tuned to this
 cache scale (3 regions; the paper's empirical optimum for its scale was
-7 — see the ablation bench, which reproduces that tuning curve).
+7 — see the SAB ablation, which reproduces that tuning curve).  Figure
+10 and the ablations state that PIF point, the cache and the warmup in
+their specs (:data:`SPEC_DIR`).
 """
 
 from __future__ import annotations
 
+import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..common.config import CacheConfig, PIFConfig
+from ..common.config import CacheConfig
 from ..pipeline.tracegen import GeneratedTrace, cached_trace
 from ..workloads.spec import WORKLOAD_NAMES
 
@@ -24,9 +28,8 @@ from ..workloads.spec import WORKLOAD_NAMES
 EXPERIMENT_CACHE = CacheConfig(capacity_bytes=32 * 1024, associativity=2,
                                block_bytes=64)
 
-#: PIF operating point at experiment scale: paper parameters except the
-#: SAB window, re-tuned for the smaller cache.
-EXPERIMENT_PIF = PIFConfig(sab_count=4, sab_window_regions=3)
+#: The checked-in scenario specs Figure 10 and the ablations run.
+SPEC_DIR = Path(__file__).with_name("specs")
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +42,6 @@ class ExperimentConfig:
     warmup_fraction: float = 0.4
     workloads: Tuple[str, ...] = WORKLOAD_NAMES
     cache: CacheConfig = field(default_factory=lambda: EXPERIMENT_CACHE)
-    pif: PIFConfig = field(default_factory=lambda: EXPERIMENT_PIF)
 
 
 #: A configuration small enough for CI smoke runs of every experiment.
@@ -62,6 +64,47 @@ def traces_for(config: ExperimentConfig, workload: str
     """
     return [cached_trace(workload, config.instructions, config.seed, core)
             for core in range(config.cores)]
+
+
+def run_spec(name: str, config: ExperimentConfig, jobs: int,
+             out: Optional[Union[str, Path]], metrics: Sequence[str]
+             ) -> List[Dict[str, Dict[str, float]]]:
+    """Run the spec ``SPEC_DIR/<name>.yaml`` through the sweep runner
+    and return one ``{workload: {column: per-core mean}}`` matrix per
+    metric (:func:`repro.scenarios.report.coverage_matrix`).
+
+    ``config`` sets the workloads, instructions, cores and seed; the
+    spec states the cache, the warmup and the engines.  The results
+    store is ``out/<name>``, so a rerun with the same ``out`` resumes
+    and recomputes nothing; with ``out=None`` it is a temporary
+    directory, removed on return.  A sweep that ends with quarantined
+    or missing points raises RuntimeError naming the quarantined groups
+    and their errors, so no table with gaps is rendered.
+    """
+    from ..scenarios import (ResultsStore, coverage_matrix, load_spec,
+                             point_hash, run_sweep)
+
+    spec = load_spec(SPEC_DIR / f"{name}.yaml", sweep_overrides={
+        "workloads": list(config.workloads),
+        "instructions": config.instructions,
+        "cores": config.cores,
+        "seeds": [config.seed],
+    })
+    with tempfile.TemporaryDirectory(prefix="repro-figures-") as scratch:
+        store_dir = Path(out if out is not None else scratch) / spec.name
+        summary = run_sweep(spec, store_dir, jobs=jobs)
+        store = ResultsStore(store_dir)
+        if summary.failed or not summary.complete():
+            hashes = {point_hash(point) for point in spec.points()}
+            errors = sorted({
+                record["failed"]["error"]
+                for digest, record in store.load_current().items()
+                if digest in hashes and "failed" in record})
+            raise RuntimeError(
+                f"sweep {spec.name!r} ended with {summary.failed} points "
+                f"quarantined in {list(summary.quarantined)} and "
+                f"{summary.remaining} missing; errors: {errors}")
+        return [coverage_matrix(spec, store, metric) for metric in metrics]
 
 
 def mean(values: Iterable[float]) -> float:

@@ -7,27 +7,14 @@ reaches 65-90 %, and its speedup converges to the perfect cache's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Dict, Optional, Tuple, Union
 
-from ..common.config import SystemConfig
-from ..core.pif import ProactiveInstructionFetch
-from ..prefetch import make_prefetcher
-from ..prefetch.base import Prefetcher
-from ..sim.engine import run_multi_prefetch_simulation
-from ..sim.timing import speedup_comparison
-from .common import ExperimentConfig, format_table, mean, percent, traces_for
-from .parallel import run_workload_grid
+from .common import ExperimentConfig, format_table, mean, percent, run_spec
 
 #: Engines compared, in the paper's presentation order.
 ENGINES: Tuple[str, ...] = ("next-line", "tifs", "pif")
-
-
-def _engine(name: str, config: ExperimentConfig) -> Prefetcher:
-    if name == "pif":
-        return ProactiveInstructionFetch(
-            config.pif, block_bytes=config.cache.block_bytes)
-    return make_prefetcher(name)
 
 
 @dataclass(slots=True)
@@ -37,7 +24,7 @@ class Fig10Result:
     config: ExperimentConfig
     #: {workload: {engine: miss coverage}}
     coverage: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: {workload: {engine or 'perfect'/'baseline': speedup}}
+    #: {workload: {engine or 'perfect': speedup}}
     speedup: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def mean_speedup(self, engine: str) -> float:
@@ -72,43 +59,15 @@ class Fig10Result:
         return left + "\n\n" + right
 
 
-def _fig10_workload(config: ExperimentConfig, workload: str) -> Tuple[
-        Dict[str, float], Dict[str, float]]:
-    """One workload's (coverage row, speedup row).
-
-    The coverage panel replays each trace once against every engine via
-    the single-pass multi-prefetcher engine; the timing panel keeps
-    per-engine walks because each engine evolves its own clock.
-    """
-    system = replace(SystemConfig(), l1i=config.cache)
-    traces = traces_for(config, workload)
-    coverage: Dict[str, List[float]] = {e: [] for e in ENGINES}
-    speedups: Dict[str, List[float]] = {}
-    for trace in traces:
-        sims = run_multi_prefetch_simulation(
-            trace.bundle, [_engine(name, config) for name in ENGINES],
-            cache_config=config.cache,
-            warmup_fraction=config.warmup_fraction)
-        for engine_name, sim in zip(ENGINES, sims):
-            coverage[engine_name].append(sim.coverage())
-        engines = {name: _engine(name, config) for name in ENGINES}
-        comparison = speedup_comparison(
-            trace.bundle, engines, system=system,
-            warmup_fraction=config.warmup_fraction)
-        for name, value in comparison.items():
-            speedups.setdefault(name, []).append(value)
-    return (
-        {name: mean(values) for name, values in coverage.items()},
-        {name: mean(values) for name, values in speedups.items()},
-    )
-
-
-def run_fig10(config: ExperimentConfig,
-              jobs: int = 1) -> Fig10Result:
-    """Run both Figure 10 panels over the configured workloads."""
-    result = Fig10Result(config=config)
-    for workload, (coverage, speedup) in run_workload_grid(
-            _fig10_workload, config, jobs):
-        result.coverage[workload] = coverage
-        result.speedup[workload] = speedup
-    return result
+def run_fig10(config: ExperimentConfig, jobs: int = 1,
+              out: Optional[Union[str, Path]] = None) -> Fig10Result:
+    """Run both Figure 10 panels over the configured workloads: the
+    ``fig10`` spec through the sweep runner, its store under
+    ``out/fig10`` (see :func:`~repro.experiments.common.run_spec`)."""
+    coverage, speedup = run_spec("fig10", config, jobs, out,
+                                 ("coverage", "speedup"))
+    return Fig10Result(
+        config=config,
+        coverage={workload: {engine: row[engine] for engine in ENGINES}
+                  for workload, row in coverage.items()},
+        speedup=speedup)

@@ -298,6 +298,18 @@ def jobs_argument_type(text: str) -> int:
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
 
+
+def positive_int_argument_type(text: str) -> int:
+    """argparse ``type=`` adapter for counts (``--instructions``,
+    ``--cores``, ``--cache-kb``): a positive integer, so a bad value
+    exits 2 with a usage message instead of failing inside a command."""
+    import argparse
+
+    if not text.strip().isdigit() or int(text) <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return int(text)
+
 #: Slice function signature: (config, workload) -> picklable payload.
 WorkloadSlice = Callable[[Any, str], Any]
 

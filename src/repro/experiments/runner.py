@@ -4,16 +4,18 @@ Usage::
 
     python -m repro.experiments [--quick] [--instructions N] [--cores N]
                                 [--jobs N] [--figures fig2,fig10]
+                                [--out DIR]
 
 This is the reproduction's equivalent of the paper's full evaluation
 pass; DESIGN.md records how its half-scale regime maps onto the paper's.
 
-``--jobs N`` fans the per-workload experiment slices out over N worker
-processes (see :mod:`repro.experiments.parallel`).  Result tables are
-bit-identical for any job count — only wall-clock changes — because
-slices are deterministic and collected in workload order.  Progress and
-timing lines go to stderr so stdout stays a clean, diffable table
-stream.
+Figure 10 and the ablations run as checked-in specs (``specs/``)
+through the sweep runner, their stores under ``--out DIR``; Figures 2-9
+fan per-workload slices out through
+:func:`repro.experiments.parallel.run_workload_grid`.  ``--jobs N`` runs
+either on N worker processes.  Result tables are bit-identical for any
+job count — only wall-clock changes.  Progress and timing lines go to
+stderr so stdout stays a clean, diffable table stream.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import argparse
 import sys
 import time
 from dataclasses import replace
-from typing import List, Optional, TextIO
+from pathlib import Path
+from typing import List, Optional, TextIO, Union
 
 from ..common.profiling import collecting
-from .ablations import run_all_ablations
+from .ablations import ABLATIONS, run_ablation
 from .common import ExperimentConfig, QUICK_CONFIG
 from .fig2 import run_fig2
 from .fig3 import run_fig3
@@ -33,7 +36,7 @@ from .fig7 import run_fig7
 from .fig8 import run_fig8
 from .fig9 import run_fig9
 from .fig10 import run_fig10
-from .parallel import jobs_argument_type
+from .parallel import jobs_argument_type, positive_int_argument_type
 
 #: argparse type for ``--jobs``: positive integer or ``auto``.
 _jobs_value = jobs_argument_type
@@ -52,7 +55,8 @@ FIGURE_RUNNERS = {
 def run_all(config: ExperimentConfig, include_ablations: bool = True,
             stream: Optional[TextIO] = None, jobs: int = 1,
             figures: Optional[List[str]] = None,
-            profile: bool = False) -> List[object]:
+            profile: bool = False,
+            out: Optional[Union[str, Path]] = None) -> List[object]:
     """Run every experiment, printing each table as it completes.
 
     ``figures`` restricts the run to a subset of :data:`FIGURE_RUNNERS`
@@ -68,8 +72,11 @@ def run_all(config: ExperimentConfig, include_ablations: bool = True,
     spot a hot-path regression without running the benchmark suite.
     Stage collection is process-local, so with ``jobs > 1`` the stages
     executed inside worker processes are not attributed.
+
+    ``out`` is the results-store root of Figure 10 and the ablations
+    (:func:`~repro.experiments.common.run_spec`).
     """
-    out = stream if stream is not None else sys.stdout
+    tables = stream if stream is not None else sys.stdout
     results: List[object] = []
     if figures is None:
         selected = list(FIGURE_RUNNERS)
@@ -83,8 +90,8 @@ def run_all(config: ExperimentConfig, include_ablations: bool = True,
 
     def emit(result) -> None:
         results.append(result)
-        print(result.to_table(), file=out)
-        print(file=out)
+        print(result.to_table(), file=tables)
+        print(file=tables)
 
     if profile and jobs > 1:
         print("[--profile] note: stage timers cover the parent process "
@@ -107,11 +114,13 @@ def run_all(config: ExperimentConfig, include_ablations: bool = True,
     started = time.time()
     for name in selected:
         runner = FIGURE_RUNNERS[name]
+        options = {"out": out} if name == "fig10" else {}
         run_step(runner.__name__,
-                 lambda runner=runner: runner(config, jobs=jobs))
+                 lambda runner=runner, options=options: runner(
+                     config, jobs=jobs, **options))
     if include_ablations:
-        for ablation in run_all_ablations(config, jobs=jobs):
-            emit(ablation)
+        for name in ABLATIONS:
+            emit(run_ablation(name, config, jobs=jobs, out=out))
     print(f"Total: {time.time() - started:.1f}s", file=sys.stderr)
     return results
 
@@ -124,9 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce every figure of 'Proactive Instruction Fetch'")
     parser.add_argument("--quick", action="store_true",
                         help="small traces for a fast smoke run")
-    parser.add_argument("--instructions", type=int, default=None,
+    parser.add_argument("--instructions", type=positive_int_argument_type,
+                        default=None,
                         help="trace length per core")
-    parser.add_argument("--cores", type=int, default=None,
+    parser.add_argument("--cores", type=positive_int_argument_type,
+                        default=None,
                         help="cores (independent traces) per workload")
     parser.add_argument("--seed", type=int, default=None, help="root seed")
     parser.add_argument("--jobs", type=_jobs_value, default=1,
@@ -139,6 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated subset of figures to run "
                              f"(choices: {','.join(FIGURE_RUNNERS)}); "
                              "implies --no-ablations")
+    parser.add_argument("--out", default=None,
+                        help="results-store root for fig10 and the "
+                             "ablations: each spec's store is "
+                             "OUT/<spec name>, and a rerun resumes from "
+                             "it (default: a temporary directory, so "
+                             "every run recomputes)")
     parser.add_argument("--profile", action="store_true",
                         help="print per-figure, per-stage wall-clock "
                              "(trace load / baseline / lane walk / timing "
@@ -168,7 +185,8 @@ def main(argv=None) -> int:
 
     try:
         run_all(config, include_ablations=not args.no_ablations,
-                jobs=args.jobs, figures=figures, profile=args.profile)
+                jobs=args.jobs, figures=figures, profile=args.profile,
+                out=args.out)
     except ValueError as error:
         parser.error(str(error))
     return 0

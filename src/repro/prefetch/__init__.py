@@ -26,7 +26,8 @@ def __getattr__(name: str):
 #: the single source of truth the CLI's engine list and the scenario
 #: registry are checked against (``tests/scenarios``).
 PREFETCHER_NAMES = ("none", "next-line", "next-line-miss", "stride",
-                    "discontinuity", "tifs", "pif", "pif-no-tlsep")
+                    "discontinuity", "tifs", "pif", "pif-no-tlsep",
+                    "pif-access-order")
 
 
 def make_prefetcher(name: str, block_bytes: int = 64) -> Prefetcher:
@@ -35,8 +36,9 @@ def make_prefetcher(name: str, block_bytes: int = 64) -> Prefetcher:
     Names (:data:`PREFETCHER_NAMES`): ``none``, ``next-line``,
     ``next-line-miss``, ``stride``, ``discontinuity``, ``tifs``,
     ``pif``, ``pif-no-tlsep`` (PIF without trap-level separation, for
-    the RetireSep ablation).  Both PIF names use the paper's
-    :class:`~repro.common.config.PIFConfig`.
+    the RetireSep ablation), ``pif-access-order`` (PIF trained on the
+    fetch-order stream, for the record-source ablation).  Every PIF
+    name uses the paper's :class:`~repro.common.config.PIFConfig`.
     """
     if name == "none":
         return NullPrefetcher()
@@ -59,6 +61,10 @@ def make_prefetcher(name: str, block_bytes: int = 64) -> Prefetcher:
 
         return ProactiveInstructionFetch(block_bytes=block_bytes,
                                          separate_trap_levels=False)
+    if name == "pif-access-order":
+        from ..core.pif import AccessOrderPIF
+
+        return AccessOrderPIF(block_bytes=block_bytes)
     raise ValueError(f"unknown prefetcher {name!r}")
 
 

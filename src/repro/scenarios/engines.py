@@ -19,7 +19,16 @@ bare ``pif`` is the *paper's* operating point (``PIFConfig()``, a
 7-region SAB window), while ``repro compare`` and the figures run the
 half-scale experiment point (a 3-region window,
 ``sab_count: 4, sab_window_regions: 3``); a scenario that wants the
-latter sets it explicitly, as the checked-in scenarios do.
+latter sets it explicitly, as the checked-in scenarios and the figure
+specs (``repro/experiments/specs/``) do.
+
+The registry is the factory's names
+(:data:`repro.prefetch.PREFETCHER_NAMES`) plus ``perfect``, the
+paper's perfect L1-I.  That is a cache model, not a prefetcher: its
+lane walks with no prefetcher, so its coverage metrics are the
+no-prefetch cache's (0 coverage, baseline misses remaining), and with
+``timing: true`` — which a spec naming it must set — its ``speedup``
+times every fetch at hit latency.
 """
 
 from __future__ import annotations
@@ -52,6 +61,8 @@ ENGINE_PARAMS = {
                        "window_blocks"}),
     "pif": _PIF_PARAMS,
     "pif-no-tlsep": _PIF_PARAMS,
+    "pif-access-order": _PIF_PARAMS,
+    "perfect": frozenset(),
 }
 
 #: Engine names scenarios accept, in presentation order.
@@ -75,13 +86,15 @@ def validate_engine_params(engine: str, names: Iterable[str],
 
 
 def _build_pif(params: Mapping[str, Any], block_bytes: int,
-               separate_trap_levels: bool) -> Prefetcher:
-    from ..core.pif import ProactiveInstructionFetch
+               separate_trap_levels: bool = True,
+               access_order: bool = False) -> Prefetcher:
+    from ..core.pif import AccessOrderPIF, ProactiveInstructionFetch
 
     params = dict(params)
     unbounded = params.pop("unbounded_index", False)
     config = replace(PIFConfig(), **params) if params else PIFConfig()
-    return ProactiveInstructionFetch(
+    engine_class = AccessOrderPIF if access_order else ProactiveInstructionFetch
+    return engine_class(
         config, block_bytes=block_bytes,
         separate_trap_levels=separate_trap_levels,
         unbounded_index=bool(unbounded))
@@ -97,7 +110,8 @@ def build_engine(engine: str, params: Mapping[str, Any],
     line size — PIF's region decoding depends on it.
 
     A parameterless entry delegates to
-    :func:`repro.prefetch.make_prefetcher`, so a bare engine name
+    :func:`repro.prefetch.make_prefetcher` (``perfect`` walks as its
+    ``none``; module docstring), so a bare engine name
     simulates the operating point ``repro compare`` and the experiments
     run for every engine but PIF: a bare ``pif`` is ``PIFConfig()``
     (7-region SAB window), theirs is the 3-region experiment point
@@ -106,6 +120,8 @@ def build_engine(engine: str, params: Mapping[str, Any],
     """
     params = dict(params)
     if not params:
+        if engine == "perfect":
+            return make_prefetcher("none")
         return make_prefetcher(engine, block_bytes=block_bytes)
     if engine == "next-line":
         return NextLinePrefetcher(degree=params.get("degree", 4),
@@ -120,7 +136,9 @@ def build_engine(engine: str, params: Mapping[str, Any],
     if engine == "tifs":
         return TIFSPrefetcher(**params)
     if engine == "pif":
-        return _build_pif(params, block_bytes, separate_trap_levels=True)
+        return _build_pif(params, block_bytes)
     if engine == "pif-no-tlsep":
         return _build_pif(params, block_bytes, separate_trap_levels=False)
+    if engine == "pif-access-order":
+        return _build_pif(params, block_bytes, access_order=True)
     raise ValueError(f"unknown engine {engine!r}")

@@ -5,9 +5,9 @@ variants* × *cores*.  The row key is every identity axis that actually
 varies across the scenario — workload always, plus e.g. seed for a
 seed-sensitivity study or cache geometry for a geometry sweep — except
 the core index, which is averaged over (arithmetic mean across cores,
-matching the hand-written experiment sweeps in
-:mod:`repro.experiments.ablations`).  Engine-variant labels become the
-report columns.
+in core order — the per-core mean Figure 10 and the ablation tables
+print; :func:`coverage_matrix` is their view).  Engine-variant labels
+become the report columns.
 
 Units in the emitted tables: coverage cells are *percent* (the stored
 ``coverage`` metric is a signed fraction; it is multiplied by 100 only
@@ -138,31 +138,43 @@ def summarize(spec: ScenarioSpec, store: ResultsStore) -> SweepSummary:
                         computed=computed, has_timing=has_timing)
 
 
-def coverage_matrix(spec: ScenarioSpec, store: ResultsStore
+def coverage_matrix(spec: ScenarioSpec, store: ResultsStore,
+                    metric: str = "coverage"
                     ) -> Dict[str, Dict[str, float]]:
-    """``{workload: {label: mean coverage fraction}}`` for scenarios
-    whose only varying row axis is the workload — the shape the
-    hand-written ablation sweeps report, used by the equivalence tests.
+    """``{workload: {column: per-core mean of metric}}`` for ``metric``
+    ``coverage`` (a signed fraction) or ``speedup`` — the shape the
+    figure and ablation tables render from.
 
-    Raises ValueError when other axes vary (the flat matrix would be
-    ambiguous) or when any cell is missing.
+    The columns are the engine labels when the workload is the only
+    varying row axis.  A one-engine sweep may vary one other axis
+    instead, and then its values are the columns, as strings (the
+    replacement ablation's policies).  Raises ValueError when the shape
+    is neither, when any cell is missing, or when ``speedup`` is asked
+    of a sweep without timing.
     """
     summary = summarize(spec, store)
-    if summary.row_fields != ("workload",):
-        raise ValueError("coverage_matrix needs a workload-only sweep; "
-                         f"this one also varies {summary.row_fields[1:]}")
+    axes = summary.row_fields[1:]
+    if len(axes) > 1 or (axes and len(summary.labels) > 1):
+        raise ValueError("coverage_matrix needs one column axis: the "
+                         "engine labels, or one varying axis of a "
+                         f"one-engine sweep; this one varies {axes} over "
+                         f"{len(summary.labels)} engine labels")
     matrix: Dict[str, Dict[str, float]] = {}
-    for (workload,), cells in summary.rows:
-        row: Dict[str, float] = {}
+    for key, cells in summary.rows:
+        row = matrix.setdefault(key[0], {})
         for label in summary.labels:
             cell = cells[label]
             if cell is None or cell.points < spec.cores:
+                where = _row_title(summary.row_fields, key)
                 raise ValueError(f"sweep incomplete: "
                                  f"{cell.points if cell else 0} of "
                                  f"{spec.cores} core records for "
-                                 f"{label!r} on {workload!r}")
-            row[label] = cell.coverage
-        matrix[workload] = row
+                                 f"{label!r} on {where!r}")
+            value = getattr(cell, metric)
+            if value is None:
+                raise ValueError(f"sweep {spec.name!r} ran without "
+                                 "timing; it has no speedup")
+            row[str(key[1]) if axes else label] = value
     return matrix
 
 

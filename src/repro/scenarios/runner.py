@@ -49,7 +49,9 @@ misses — indicative, as in
 ``prefetches_issued`` counts issues over the whole trace.  With
 ``timing: true`` each point also records ``speedup`` — the timing
 model's UIPC ratio against a no-prefetch baseline of the same cache
-geometry (dimensionless, 1.0 = no change).
+geometry (dimensionless, 1.0 = no change).  A ``perfect`` lane is the
+paper's perfect L1-I: its coverage metrics are the no-prefetch cache's,
+and its ``speedup`` times every fetch at hit latency.
 """
 
 from __future__ import annotations
@@ -206,7 +208,8 @@ def _run_group(task: _GroupTask
             timed = run_timing_simulation(
                 bundle, build_engine(point.engine, dict(point.params),
                                      point.block_bytes),
-                system, task.warmup)
+                system, task.warmup,
+                perfect_cache=point.engine == "perfect")
             metrics["uipc"] = timed.uipc()
             metrics["speedup"] = (timed.uipc() / base_uipc
                                   if base_uipc else 0.0)

@@ -333,7 +333,7 @@ def _variant_label(engine: str, params: Dict[str, Any],
     return f"{engine}[{inner}]"
 
 
-def _parse_engines(raw: Any) -> List[_EngineVariant]:
+def _parse_engines(raw: Any, timing: bool) -> List[_EngineVariant]:
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
         raise SpecError("sweep.engines must be a list of engine entries")
     if not raw:
@@ -360,6 +360,10 @@ def _parse_engines(raw: Any) -> List[_EngineVariant]:
         if not isinstance(name, str):
             raise SpecError(f"{path}.name must be a string, got "
                             f"{_type_name(name)}")
+        if name == "perfect" and not timing:
+            raise SpecError(f"{path}: engine 'perfect' is a perfect L1-I "
+                            "that only the timing model sees; set "
+                            "sweep.timing: true")
         for params in _parse_params(raw_params, name, f"{path}.params"):
             # Construct the engine once at parse time so out-of-range
             # values (degree: 0, negative sizes) fail here as a
@@ -480,7 +484,7 @@ def parse_spec(raw: Mapping[str, Any]) -> ScenarioSpec:
             raise SpecError(f"sweep: zip mode needs equal-length axes; "
                             f"got {detail}")
 
-    variants = _parse_engines(sweep.get("engines"))
+    variants = _parse_engines(sweep.get("engines"), timing)
 
     spec = ScenarioSpec(name=name.strip(), description=description,
                         mode=mode, axes=axes, cores=cores,

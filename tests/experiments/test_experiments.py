@@ -53,7 +53,6 @@ class TestCommon:
     def test_experiment_config_validation(self):
         config = ExperimentConfig()
         assert config.cache.capacity_bytes == 32 * 1024
-        assert config.pif.sab_window_regions == 3
 
 
 class TestFig2:
@@ -125,7 +124,7 @@ class TestFig10:
             assert set(result.coverage[workload]) == {
                 "next-line", "tifs", "pif"}
             speedup = result.speedup[workload]
-            assert speedup["baseline"] == 1.0
+            assert set(speedup) == {"next-line", "tifs", "pif", "perfect"}
             assert speedup["perfect"] >= 1.0
         assert result.mean_speedup("perfect") >= result.mean_speedup("pif") - 0.03
 
@@ -140,3 +139,82 @@ class TestAblations:
         result = run_source_ablation(replace(SMOKE, workloads=("oltp-db2",)))
         row = result.coverage["oltp-db2"]
         assert set(row) == {"retire", "fetch"}
+
+
+class TestFigureStores:
+    """Figure 10 and the ablations run as specs on the sweep runner, so
+    a figure run with ``--out`` keeps a results store."""
+
+    CONFIG = ExperimentConfig(instructions=30_000, cores=2, seed=3,
+                              workloads=("dss-qry2",))
+
+    def test_killed_run_resumes_without_recomputing(self, tmp_path,
+                                                    monkeypatch, capsys):
+        import io
+
+        from repro.cli import main as repro_main
+        from repro.experiments.runner import run_all
+        from repro.scenarios import runner as runner_module
+
+        reference = io.StringIO()
+        run_all(self.CONFIG, stream=reference, figures=["fig10"],
+                out=tmp_path / "reference")
+
+        # Kill the run after its first trace group reached the store:
+        # fig10 is 2 cores x 4 engine lanes, one group per core.
+        real_run_group = runner_module._run_group
+        groups = []
+
+        def killed_after_one(task):
+            groups.append(task)
+            if len(groups) > 1:
+                raise KeyboardInterrupt
+            return real_run_group(task)
+
+        out = tmp_path / "figures"
+        monkeypatch.setattr(runner_module, "_run_group", killed_after_one)
+        with pytest.raises(KeyboardInterrupt):
+            run_all(self.CONFIG, stream=io.StringIO(), figures=["fig10"],
+                    out=out)
+        monkeypatch.setattr(runner_module, "_run_group", real_run_group)
+
+        # The resumed run walks only the missing group's lanes.
+        lanes = []
+        real_walk = runner_module.run_multi_prefetch_simulation
+
+        def counting(bundle, prefetchers, *args, **kwargs):
+            lanes.append(len(prefetchers))
+            return real_walk(bundle, prefetchers, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "run_multi_prefetch_simulation",
+                            counting)
+        resumed = io.StringIO()
+        run_all(self.CONFIG, stream=resumed, figures=["fig10"], out=out)
+        assert lanes == [4]
+        assert resumed.getvalue() == reference.getvalue()
+
+        capsys.readouterr()
+        for command in ("status", "report", "verify"):
+            assert repro_main(["sweep", command,
+                               "--out", str(out / "fig10")]) == 0, command
+        reported = capsys.readouterr().out
+        assert "status     complete" in reported
+        assert "Sweep report: fig10" in reported
+
+    def test_degraded_sweep_raises_and_prints_no_table(self, tmp_path):
+        import io
+
+        from repro.experiments.runner import run_all
+        from repro.faults import FaultPlan, install
+
+        plan = FaultPlan.parse({"faults": [
+            {"site": "worker.task", "action": "raise", "match": "c1:",
+             "times": None}]})
+        tables = io.StringIO()
+        with install(plan), pytest.raises(
+                RuntimeError,
+                match=r"quarantined in \['dss-qry2/i30000/s3/c1'\].*"
+                      r"InjectedFault: injected fault at worker\.task"):
+            run_all(self.CONFIG, stream=tables, figures=["fig10"],
+                    out=tmp_path)
+        assert tables.getvalue() == ""

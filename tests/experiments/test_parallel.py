@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.ablations import run_source_ablation
+from repro.experiments.ablations import run_ablation
 from repro.experiments.common import QUICK_CONFIG
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig10 import run_fig10
@@ -258,15 +258,18 @@ class TestBitIdenticalResults:
         assert fanned.density == sequential.density
         assert fanned.discontinuity == sequential.discontinuity
 
-    def test_fig10_tables_identical(self):
-        sequential = run_fig10(TINY)
-        fanned = run_fig10(TINY, jobs=2)
+    def test_fig10_tables_identical(self, tmp_path):
+        # Each side gets its own store: with a shared one the pooled
+        # run would resume from the serial run and compare nothing.
+        sequential = run_fig10(TINY, out=tmp_path / "serial")
+        fanned = run_fig10(TINY, jobs=2, out=tmp_path / "pooled")
         assert fanned.to_table() == sequential.to_table()
         assert fanned.coverage == sequential.coverage
         assert fanned.speedup == sequential.speedup
 
-    def test_ablation_tables_identical(self):
-        sequential = run_source_ablation(TINY)
-        fanned = run_source_ablation(TINY, jobs=2)
+    def test_ablation_tables_identical(self, tmp_path):
+        sequential = run_ablation("source", TINY, out=tmp_path / "serial")
+        fanned = run_ablation("source", TINY, jobs=2,
+                              out=tmp_path / "pooled")
         assert fanned.to_table() == sequential.to_table()
         assert fanned.coverage == sequential.coverage

@@ -1,4 +1,4 @@
-"""Sweep execution: equivalence with the hand-written sweeps, resume
+"""Sweep execution: equivalence with the ablation runners, resume
 semantics, batching, and determinism across job counts.
 
 The two acceptance locks of the scenario subsystem live here:
@@ -65,17 +65,15 @@ class TestEquivalence:
         assert matrix == ablation.coverage  # bit-identical, not approx
 
     def test_checked_in_grid_matches_sab_grid(self, repo_root):
-        """The scenario's zipped param grid is exactly ablations.SAB_GRID."""
-        from repro.experiments.ablations import SAB_GRID
+        """The example expands to exactly the points of the packaged
+        SAB ablation spec, which ``run_sab_ablation`` runs."""
+        from repro.experiments.common import SPEC_DIR
 
-        spec = load_spec(
+        example = load_spec(
             repo_root / "examples" / "scenarios" / "sab-ablation.yaml")
-        grids = [
-            (dict(v.params)["sab_count"], dict(v.params)["sab_window_regions"])
-            for v in spec.variants
-        ]
-        assert tuple(grids) == SAB_GRID
-        assert spec.labels() == [f"{c}x{w}" for c, w in SAB_GRID]
+        packaged = load_spec(SPEC_DIR / "ablation-sab.yaml")
+        assert example.points() == packaged.points()
+        assert example.labels() == ["1x3", "2x3", "4x3", "4x5", "4x7", "8x3"]
 
 
 class TestResume:

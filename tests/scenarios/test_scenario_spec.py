@@ -260,25 +260,26 @@ class TestPointHash:
 class TestEngineRegistry:
     def test_registries_cover_the_same_engines_both_ways(self):
         """One source of truth: scenarios must accept exactly the
-        factory's names (so a newly added engine cannot silently be
-        unusable in sweeps), and the CLI's compare list must be the
-        factory's names minus the ablation-only variant."""
+        factory's names plus the perfect L1-I (so a newly added engine
+        cannot silently be unusable in sweeps), and the CLI's compare
+        list must be the factory's names minus the ablation-only
+        variants."""
         from repro.cli import ENGINE_NAMES as CLI_ENGINE_NAMES
         from repro.prefetch import PREFETCHER_NAMES
         from repro.scenarios.engines import ENGINE_PARAMS
 
-        assert set(ENGINE_PARAMS) == set(PREFETCHER_NAMES)
+        assert set(ENGINE_PARAMS) == set(PREFETCHER_NAMES) | {"perfect"}
         assert set(CLI_ENGINE_NAMES) == (
-            set(PREFETCHER_NAMES) - {"pif-no-tlsep"})
+            set(PREFETCHER_NAMES) - {"pif-no-tlsep", "pif-access-order"})
 
     def test_every_scenario_engine_is_a_compare_engine(self):
         """A bare engine name in a scenario delegates to
-        make_prefetcher, so every name must construct and match the
-        factory's engine class."""
-        from repro.prefetch import make_prefetcher
-        from repro.scenarios.engines import ENGINE_PARAMS, build_engine
+        make_prefetcher, so every factory name must construct and match
+        the factory's engine class."""
+        from repro.prefetch import PREFETCHER_NAMES, make_prefetcher
+        from repro.scenarios.engines import build_engine
 
-        for name in ENGINE_PARAMS:
+        for name in PREFETCHER_NAMES:
             via_factory = make_prefetcher(name, block_bytes=64)
             via_scenarios = build_engine(name, {}, block_bytes=64)
             assert type(via_scenarios) is type(via_factory), name
@@ -295,6 +296,98 @@ class TestEngineRegistry:
                                 block_bytes=64)
         factory = make_prefetcher("pif", block_bytes=64)
         assert explicit.config == factory.config
+
+    def test_perfect_requires_timing(self):
+        """The perfect L1-I exists only in the timing model: a spec
+        naming it without timing fails, naming the entry."""
+        from repro.prefetch import NullPrefetcher
+        from repro.scenarios.engines import build_engine
+
+        with pytest.raises(SpecError, match=r"sweep\.engines\[1\]"):
+            parse_spec(minimal(engines=["next-line", "perfect"]))
+        spec = parse_spec(minimal(engines=["next-line", "perfect"],
+                                  timing=True))
+        assert spec.labels() == ["next-line", "perfect"]
+        # Its lane walks with no prefetcher.
+        assert type(build_engine("perfect", {}, 64)) is NullPrefetcher
+
+    def test_access_order_lane_builds_access_order_pif(self):
+        from repro.common.config import PIFConfig
+        from repro.core.pif import AccessOrderPIF
+        from repro.scenarios.engines import build_engine
+
+        engine = build_engine("pif-access-order",
+                              {"sab_count": 4, "sab_window_regions": 3,
+                               "index_entries": 1024}, block_bytes=64)
+        assert type(engine) is AccessOrderPIF
+        assert engine.config == PIFConfig(sab_count=4, sab_window_regions=3,
+                                          index_entries=1024)
+        assert engine.separate_trap_levels and not engine.unbounded_index
+
+
+class TestPackagedSpecs:
+    """The specs Figure 10 and the ablations run state experiment
+    scale: ExperimentConfig()'s cache, warmup, workloads, length, cores
+    and seed, and ``repro compare``'s PIF point."""
+
+    @staticmethod
+    def specs():
+        from repro.experiments.common import SPEC_DIR
+
+        paths = sorted(SPEC_DIR.glob("*.yaml"))
+        assert [path.stem for path in paths] == [
+            "ablation-index", "ablation-replacement", "ablation-sab",
+            "ablation-source", "ablation-temporal", "fig10"]
+        return [load_spec(path) for path in paths]
+
+    def test_specs_state_experiment_scale(self):
+        from repro.experiments.common import ExperimentConfig
+
+        config = ExperimentConfig()
+        cache = config.cache
+        for spec in self.specs():
+            points = spec.points()
+            assert spec.cores == config.cores, spec.name
+            assert tuple(dict.fromkeys(p.workload for p in points)) == (
+                config.workloads), spec.name
+            replacements = ["lru", "fifo", "random"] if (
+                spec.name == "ablation-replacement") else [cache.replacement]
+            assert list(dict.fromkeys(p.replacement for p in points)) == (
+                replacements), spec.name
+            for point in points:
+                assert (point.instructions, point.seed, point.warmup) == (
+                    config.instructions, config.seed,
+                    config.warmup_fraction), spec.name
+                assert (point.capacity_bytes, point.associativity,
+                        point.block_bytes) == (
+                    cache.capacity_bytes, cache.associativity,
+                    cache.block_bytes), spec.name
+
+    def test_specs_run_the_compare_pif_point(self):
+        """Every PIF lane outside the SAB grid is ``repro compare``'s
+        ``pif`` with at most the ablated knob changed."""
+        from dataclasses import replace
+
+        from repro.cli import _engine
+        from repro.scenarios.engines import build_engine
+
+        compare = _engine("pif").config
+        lanes = 0
+        for spec in self.specs():
+            if spec.name == "ablation-sab":
+                continue  # the grid varies the SAB point itself
+            for point in spec.points():
+                if not point.engine.startswith("pif"):
+                    continue
+                params = dict(point.params)
+                ablated = {key: value for key, value in params.items()
+                           if key in ("temporal_compactor_entries",
+                                      "index_entries")}
+                built = build_engine(point.engine, params, point.block_bytes)
+                assert built.config == replace(compare, **ablated), (
+                    spec.name, point.label)
+                lanes += 1
+        assert lanes
 
 
 class TestFileLoading:

@@ -255,6 +255,25 @@ class TestSweepCommands:
         assert main(["sweep", "run", "--spec", spec_path,
                      "--out", str(tmp_path), "--lease-timeout", "0"]) == 2
         assert "--lease-timeout" in capsys.readouterr().err
+        # Counts are validated when the arguments are parsed, so no
+        # command prints an empty table or dies in a traceback on them.
+        count_flags = [
+            (build_parser, [command], flag)
+            for command in ("trace", "simulate", "compare")
+            for flag in ("--instructions", "--cache-kb")
+        ] + [
+            (build_parser, ["traces", "build"], flag)
+            for flag in ("--instructions", "--cores")
+        ] + [
+            (experiments_parser, [], flag)
+            for flag in ("--instructions", "--cores")
+        ]
+        for parser, command, flag in count_flags:
+            for value in ("0", "-2", "many"):
+                with pytest.raises(SystemExit) as bad_count:
+                    parser().parse_args([*command, flag, value])
+                assert bad_count.value.code == 2, (command, flag, value)
+                assert flag in capsys.readouterr().err
 
     def test_status_format_json_reports_failed_distinctly(
             self, spec_path, tmp_path, capsys, monkeypatch):

@@ -33,8 +33,6 @@ CALLER_TREES = ("examples", "benchmarks", "perfbench")
 ALLOWED: Dict[str, str] = {
     "trace/serialize.py::load_bundle":
         "reads what `repro trace --output` writes, for external tools",
-    "scenarios/report.py::coverage_matrix":
-        "the sab-ablation lock compares the sweep store through it",
     "sim/baseline.py::clear_baseline_memo":
         "test isolation: resets the per-process baseline memo",
     "dist/protocol.py::trace_ad_from_wire":
