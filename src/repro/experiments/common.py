@@ -74,16 +74,27 @@ def run_spec(name: str, config: ExperimentConfig, jobs: int,
     metric (:func:`repro.scenarios.report.coverage_matrix`).
 
     ``config`` sets the workloads, instructions, cores and seed; the
-    spec states the cache, the warmup and the engines.  The results
-    store is ``out/<name>``, so a rerun with the same ``out`` resumes
-    and recomputes nothing; with ``out=None`` it is a temporary
-    directory, removed on return.  A sweep that ends with quarantined
-    or missing points raises RuntimeError naming the quarantined groups
-    and their errors, so no table with gaps is rendered.
+    spec states the cache, the warmup and the engines, at
+    ``ExperimentConfig()``'s values, so a ``config`` whose ``cache`` or
+    ``warmup_fraction`` differs from those raises ValueError naming the
+    field.  The results store is ``out/<name>``, so a rerun with the
+    same ``out`` resumes and recomputes nothing; with ``out=None`` it is
+    a temporary directory, removed on return.  A sweep that ends with
+    quarantined or missing points raises RuntimeError naming the
+    quarantined groups and their errors, so no table with gaps is
+    rendered.
     """
     from ..scenarios import (ResultsStore, coverage_matrix, load_spec,
                              point_hash, run_sweep)
 
+    stated = ExperimentConfig()
+    for field_name in ("cache", "warmup_fraction"):
+        if getattr(config, field_name) != getattr(stated, field_name):
+            raise ValueError(
+                f"ExperimentConfig.{field_name} is "
+                f"{getattr(config, field_name)!r}, but spec {name!r} "
+                f"states {getattr(stated, field_name)!r}; it runs at its "
+                f"spec's {field_name}")
     spec = load_spec(SPEC_DIR / f"{name}.yaml", sweep_overrides={
         "workloads": list(config.workloads),
         "instructions": config.instructions,

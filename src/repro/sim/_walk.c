@@ -23,15 +23,21 @@
  *   - next-line, triggered on every access or on misses only;
  *   - stride, with two-delta confirmation;
  *   - discontinuity, with its fully-associative LRU table;
+ *   - TIFS: the stream scan in MRU order (advance past the first window
+ *     holding the block, refill from the miss log, queue the refilled
+ *     blocks absent from the old window, repeats included), then on a
+ *     would-be miss the log append, the index lookup and insert, and
+ *     on a miss no stream matched, a stream allocated after the
+ *     block's previous position.  The miss log is a bounded ring, the
+ *     index bounded set-associative with per-set LRU or unbounded;
  *   - PIF: the SAB window probe in MRU order, window slide and refill
  *     from the history ring, index lookup and stream allocation on a
  *     miss, the order-preserving candidate dedup, and the train side
  *     replayed from the lane-independent train plan
  *     (repro.sim.trainplan): per region emission, the history append
  *     and, for tagged triggers, the index insert.  Every trap-level
- *     channel has its own history ring, index (bounded set-associative
- *     with per-set LRU, or unbounded) and SAB file, sized by the
- *     caller.
+ *     channel has its own history ring, index and SAB file, sized by
+ *     the caller.
  *
  * The caller (repro.sim.engine) checks dtypes, lengths and value ranges
  * before passing pointers, including that no candidate block can leave
@@ -59,7 +65,7 @@
 /* config[CFG_ENGINE]; repro.sim.engine's _NATIVE_ENGINES sets them. */
 enum {
     ENGINE_NONE, ENGINE_NEXT_LINE, ENGINE_STRIDE, ENGINE_DISCONTINUITY,
-    ENGINE_PIF
+    ENGINE_PIF, ENGINE_TIFS
 };
 
 /* config[] layout; repro.sim.engine._NATIVE_CONFIG names the same. */
@@ -68,7 +74,8 @@ enum {
     CFG_DEGREE, CFG_MISS_ONLY, CFG_TABLE_ENTRIES, CFG_SEPARATE,
     CFG_PRECEDING, CFG_SUCCEEDING, CFG_BLOCK_BITS, CFG_SAB_COUNT,
     CFG_WINDOW, CFG_HISTORY_MAIN, CFG_HISTORY_HANDLER,
-    CFG_INDEX_SETS_MAIN, CFG_INDEX_SETS_HANDLER, CFG_INDEX_WAYS
+    CFG_INDEX_SETS_MAIN, CFG_INDEX_SETS_HANDLER, CFG_INDEX_WAYS,
+    CFG_STREAMS, CFG_WINDOW_BLOCKS, CFG_HISTORY_BLOCKS, CFG_INDEX_SETS
 };
 
 /* out_lane[] layout; repro.sim.engine._NATIVE_OUT names the same.  The
@@ -78,7 +85,8 @@ enum {
     OUT_USEFUL_PREFETCHES, OUT_PREFETCH_REQUESTS, OUT_PREFETCH_FILLS,
     OUT_PREFETCH_DROPS, OUT_EVICTIONS, OUT_EVICTED_UNUSED, OUT_REMAINING,
     OUT_TRIGGERS, OUT_ISSUED, OUT_STREAM_ALLOCATIONS, OUT_RETIRED,
-    OUT_CHANNELS, OUT_LEVELS, OUT_FETCH_MISSES, OUT_LATE_HITS
+    OUT_CHANNELS, OUT_LEVELS, OUT_FETCH_MISSES, OUT_LATE_HITS,
+    OUT_INDEX_INSERTIONS, OUT_INDEX_HITS, OUT_INDEX_MISSES
 };
 
 /* One out_channels[] row per channel, in creation order;
@@ -123,15 +131,25 @@ typedef struct {
     Region *window;      /* window_regions slots */
 } Sab;
 
+/* IndexTable: key -> history position, bounded set-associative with
+ * per-set LRU, or unbounded. */
+typedef struct {
+    int64_t sets;        /* 0: the unbounded index, in map */
+    int64_t ways;
+    int64_t *keys;       /* sets x ways, each set LRU first */
+    int64_t *values;
+    int64_t *fill;
+    Map map;
+    int64_t insertions;
+    int64_t hits;
+    int64_t misses;
+} Index;
+
 typedef struct {
     Region *ring;        /* history ring, positions modulo capacity */
     int64_t capacity;
     int64_t tail;        /* position the next append takes */
-    int64_t index_sets;  /* 0: the unbounded index, in map */
-    int64_t *set_keys;   /* index_sets x ways, each set LRU first */
-    int64_t *set_values;
-    int64_t *set_fill;
-    Map map;
+    Index index;
     Sab *sabs;           /* sab_count SABs */
     Sab **order;         /* active SABs, most recently matched first */
     int64_t active;
@@ -168,6 +186,14 @@ typedef struct {
     int64_t tail;
 } Lru;
 
+/* One TIFS replay of the miss log: the window is the blocks read at
+ * pointer, kept as read (the ring may overwrite them since). */
+typedef struct {
+    int64_t pointer;     /* miss-log position the window starts at */
+    int64_t len;
+    int64_t *window;     /* window_blocks slots */
+} Stream;
+
 /* The train plan's five columns (repro.sim.trainplan.PIFTrainPlan). */
 typedef struct {
     int64_t n;
@@ -201,7 +227,6 @@ typedef struct {
     int64_t width;       /* preceding + succeeding bits per vector */
     int64_t sab_count;
     int64_t window;
-    int64_t ways;
     Channel *channels[MAX_KEYS];
     int64_t created[MAX_KEYS];   /* channel keys in creation order */
     int64_t n_channels;
@@ -216,6 +241,18 @@ typedef struct {
     int64_t next_event;
     int64_t retired;
     uint8_t pending[MAX_KEYS];
+    /* TIFS */
+    int64_t *log;        /* miss log ring, positions modulo log_capacity */
+    int64_t log_capacity;
+    int64_t log_tail;    /* position the next append takes */
+    Index log_index;
+    int64_t stream_capacity;
+    int64_t window_blocks;
+    int64_t n_streams;
+    Stream *stream_slots;    /* stream_capacity slots */
+    Stream **stream_order;   /* live streams, most recently used first */
+    int64_t *stream_windows; /* stream_capacity + 1 windows */
+    int64_t *spare;      /* the window no stream holds; refills read here */
 } Walk;
 
 /* Python's % for a positive modulus. */
@@ -450,6 +487,102 @@ static void lru_put(Lru *lru, int64_t key, int64_t value)
     lru_append(lru, entry);
 }
 
+/* --------------------------------------------------------------- index */
+
+/* An empty index of sets x ways (sets 0: unbounded); on failure the
+ * index holds what index_free releases. */
+static int index_init(Index *index, int64_t sets, int64_t ways)
+{
+    index->sets = sets;
+    index->ways = ways;
+    if (sets == 0)
+        return map_init(&index->map, 16);
+    index->keys = malloc((size_t)(sets * ways) * sizeof(int64_t));
+    index->values = malloc((size_t)(sets * ways) * sizeof(int64_t));
+    index->fill = calloc((size_t)sets, sizeof(int64_t));
+    return index->keys == NULL || index->values == NULL
+           || index->fill == NULL ? WALK_ENOMEM : WALK_OK;
+}
+
+static void index_free(Index *index)
+{
+    free(index->keys);
+    free(index->values);
+    free(index->fill);
+    map_free(&index->map);
+}
+
+/* IndexTable._set_for's fold; keys are non-negative. */
+static int64_t index_set(const Index *index, int64_t key)
+{
+    return ((key >> 2) ^ (key >> 9) ^ (key >> 17)) % index->sets;
+}
+
+/* IndexTable.lookup: the recorded position for key, or -1. */
+static int64_t index_lookup(Index *index, int64_t key)
+{
+    int64_t position = -1;
+    if (index->sets) {
+        const int64_t set = index_set(index, key);
+        int64_t *keys = index->keys + set * index->ways;
+        int64_t *values = index->values + set * index->ways;
+        int64_t fill = index->fill[set], way;
+        for (way = 0; way < fill; way++) {
+            if (keys[way] == key) {
+                /* LRUCache.get promotes the hit to MRU. */
+                position = values[way];
+                memmove(keys + way, keys + way + 1,
+                        (size_t)(fill - 1 - way) * sizeof(int64_t));
+                memmove(values + way, values + way + 1,
+                        (size_t)(fill - 1 - way) * sizeof(int64_t));
+                keys[fill - 1] = key;
+                values[fill - 1] = position;
+                break;
+            }
+        }
+    } else {
+        int64_t slot = map_find(&index->map, key);
+        if (slot >= 0)
+            position = index->map.values[slot].i;
+    }
+    if (position < 0)
+        index->misses++;
+    else
+        index->hits++;
+    return position;
+}
+
+/* IndexTable.insert: key -> position, evicting the set's LRU entry. */
+static int index_insert(Index *index, int64_t key, int64_t position)
+{
+    if (index->sets) {
+        const int64_t set = index_set(index, key);
+        int64_t *keys = index->keys + set * index->ways;
+        int64_t *values = index->values + set * index->ways;
+        int64_t fill = index->fill[set], way;
+        for (way = 0; way < fill && keys[way] != key; way++)
+            ;
+        if (way == fill && fill == index->ways)
+            way = 0;                  /* full: the LRU entry goes */
+        else if (way == fill)
+            fill++;
+        memmove(keys + way, keys + way + 1,
+                (size_t)(fill - 1 - way) * sizeof(int64_t));
+        memmove(values + way, values + way + 1,
+                (size_t)(fill - 1 - way) * sizeof(int64_t));
+        keys[fill - 1] = key;
+        values[fill - 1] = position;
+        index->fill[set] = fill;
+    } else {
+        Value value;
+        value.i = position;
+        if (map_put(&index->map, key, value) != WALK_OK)
+            return WALK_ENOMEM;
+    }
+    index->insertions++;
+    return WALK_OK;
+}
+
 /* ------------------------------------------------------------- PIF */
 
 static void channel_free(Channel *channel)
@@ -457,10 +590,7 @@ static void channel_free(Channel *channel)
     if (channel == NULL)
         return;
     free(channel->ring);
-    free(channel->set_keys);
-    free(channel->set_values);
-    free(channel->set_fill);
-    map_free(&channel->map);
+    index_free(&channel->index);
     free(channel->sabs);
     free(channel->order);
     free(channel->windows);
@@ -473,8 +603,7 @@ static void channel_free(Channel *channel)
 static Channel *channel_for(Walk *walk, int64_t key)
 {
     Channel *channel = walk->channels[key];
-    int64_t sets, slot;
-    int failed;
+    int64_t slot;
     if (channel != NULL)
         return channel;
     channel = calloc(1, sizeof(Channel));
@@ -482,25 +611,16 @@ static Channel *channel_for(Walk *walk, int64_t key)
         return NULL;
     channel->capacity = walk->config[key ? CFG_HISTORY_HANDLER
                                          : CFG_HISTORY_MAIN];
-    sets = walk->config[key ? CFG_INDEX_SETS_HANDLER : CFG_INDEX_SETS_MAIN];
-    channel->index_sets = sets;
     channel->ring = malloc((size_t)channel->capacity * sizeof(Region));
     channel->sabs = calloc((size_t)walk->sab_count, sizeof(Sab));
     channel->order = calloc((size_t)walk->sab_count, sizeof(Sab *));
     channel->windows = malloc((size_t)(walk->sab_count * walk->window)
                               * sizeof(Region));
-    if (sets) {
-        channel->set_keys = malloc((size_t)(sets * walk->ways)
-                                   * sizeof(int64_t));
-        channel->set_values = malloc((size_t)(sets * walk->ways)
-                                     * sizeof(int64_t));
-        channel->set_fill = calloc((size_t)sets, sizeof(int64_t));
-        failed = channel->set_keys == NULL || channel->set_values == NULL
-                 || channel->set_fill == NULL;
-    } else {
-        failed = map_init(&channel->map, 16) != WALK_OK;
-    }
-    if (failed || channel->ring == NULL || channel->sabs == NULL
+    if (index_init(&channel->index,
+                   walk->config[key ? CFG_INDEX_SETS_HANDLER
+                                    : CFG_INDEX_SETS_MAIN],
+                   walk->config[CFG_INDEX_WAYS]) != WALK_OK
+            || channel->ring == NULL || channel->sabs == NULL
             || channel->order == NULL || channel->windows == NULL) {
         channel_free(channel);
         return NULL;
@@ -511,75 +631,6 @@ static Channel *channel_for(Walk *walk, int64_t key)
     walk->channels[key] = channel;
     walk->created[walk->n_channels++] = key;
     return channel;
-}
-
-/* IndexTable._set_for's fold; keys are non-negative. */
-static int64_t index_set(const Channel *channel, int64_t key)
-{
-    return ((key >> 2) ^ (key >> 9) ^ (key >> 17)) % channel->index_sets;
-}
-
-/* IndexTable.lookup: the recorded position for pc, or -1. */
-static int64_t index_lookup(Channel *channel, int64_t pc, int64_t ways)
-{
-    int64_t position = -1;
-    if (channel->index_sets) {
-        int64_t set = index_set(channel, pc);
-        int64_t *keys = channel->set_keys + set * ways;
-        int64_t *values = channel->set_values + set * ways;
-        int64_t fill = channel->set_fill[set], way;
-        for (way = 0; way < fill; way++) {
-            if (keys[way] == pc) {
-                /* LRUCache.get promotes the hit to MRU. */
-                position = values[way];
-                memmove(keys + way, keys + way + 1,
-                        (size_t)(fill - 1 - way) * sizeof(int64_t));
-                memmove(values + way, values + way + 1,
-                        (size_t)(fill - 1 - way) * sizeof(int64_t));
-                keys[fill - 1] = pc;
-                values[fill - 1] = position;
-                break;
-            }
-        }
-    } else {
-        int64_t slot = map_find(&channel->map, pc);
-        if (slot >= 0)
-            position = channel->map.values[slot].i;
-    }
-    channel->stats[position < 0 ? CH_INDEX_MISSES : CH_INDEX_HITS]++;
-    return position;
-}
-
-/* IndexTable.insert: key -> position, evicting the set's LRU entry. */
-static int index_insert(Channel *channel, int64_t key, int64_t position,
-                        int64_t ways)
-{
-    if (channel->index_sets) {
-        int64_t set = index_set(channel, key);
-        int64_t *keys = channel->set_keys + set * ways;
-        int64_t *values = channel->set_values + set * ways;
-        int64_t fill = channel->set_fill[set], way;
-        for (way = 0; way < fill && keys[way] != key; way++)
-            ;
-        if (way == fill && fill == ways)
-            way = 0;                  /* full: the LRU entry goes */
-        else if (way == fill)
-            fill++;
-        memmove(keys + way, keys + way + 1,
-                (size_t)(fill - 1 - way) * sizeof(int64_t));
-        memmove(values + way, values + way + 1,
-                (size_t)(fill - 1 - way) * sizeof(int64_t));
-        keys[fill - 1] = key;
-        values[fill - 1] = position;
-        channel->set_fill[set] = fill;
-    } else {
-        Value value;
-        value.i = position;
-        if (map_put(&channel->map, key, value) != WALK_OK)
-            return WALK_ENOMEM;
-    }
-    channel->stats[CH_INDEX_INSERTIONS]++;
-    return WALK_OK;
 }
 
 /* SpatialRegionRecord.blocks: the trigger block, then the bit-vector
@@ -708,6 +759,96 @@ static void dedup_candidates(Walk *walk)
     walk->n_cand = kept;
 }
 
+/* ------------------------------------------------------------ TIFS */
+
+/* HistoryBuffer.read_run_values(position, window_blocks) of the miss
+ * log into out: the live blocks from position on; none when position
+ * is at or past the tail, or overwritten.  Returns how many. */
+static int64_t log_read(const Walk *walk, int64_t position, int64_t *out)
+{
+    int64_t end = position + walk->window_blocks, len = 0;
+    if (position >= walk->log_tail
+            || position < walk->log_tail - walk->log_capacity)
+        return 0;
+    if (end > walk->log_tail)
+        end = walk->log_tail;
+    for (; position < end; position++)
+        out[len++] = walk->log[position % walk->log_capacity];
+    return len;
+}
+
+/* TIFSPrefetcher._refill: re-read the window at the stream's pointer,
+ * queue every block of it absent from the old window (repeats
+ * included), and keep it as the stream's window, even when empty. */
+static void tifs_refill(Walk *walk, Stream *stream)
+{
+    int64_t *fresh = walk->spare;
+    const int64_t len = log_read(walk, stream->pointer, fresh);
+    int64_t read, slot;
+    for (read = 0; read < len; read++) {
+        for (slot = 0; slot < stream->len
+                       && stream->window[slot] != fresh[read]; slot++)
+            ;
+        if (slot == stream->len)
+            walk->cand[walk->n_cand++] = fresh[read];
+    }
+    walk->spare = stream->window;
+    stream->window = fresh;
+    stream->len = len;
+}
+
+/* The stream scan: advance the first stream (most recently used first)
+ * whose window holds block to just past it, refill it and promote it
+ * to most recently used.  1 when a stream matched. */
+static int tifs_advance(Walk *walk, int64_t block)
+{
+    int64_t position, slot;
+    for (position = 0; position < walk->n_streams; position++) {
+        Stream *stream = walk->stream_order[position];
+        for (slot = 0; slot < stream->len; slot++) {
+            if (stream->window[slot] == block) {
+                stream->pointer += slot + 1;
+                tifs_refill(walk, stream);
+                memmove(walk->stream_order + 1, walk->stream_order,
+                        (size_t)position * sizeof(Stream *));
+                walk->stream_order[0] = stream;
+                return 1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* TIFSPrefetcher._allocate: a stream at pointer, all of its window
+ * queued; it joins the list as most recently used, dropping the least
+ * recently used one from a full list, only when its window is not
+ * empty. */
+static void tifs_allocate(Walk *walk, int64_t pointer)
+{
+    const int64_t len = log_read(walk, pointer, walk->spare);
+    Stream *stream;
+    int64_t *window;
+    walk->triggers++;
+    walk->stream_allocations++;
+    memcpy(walk->cand + walk->n_cand, walk->spare,
+           (size_t)len * sizeof(int64_t));
+    walk->n_cand += len;
+    if (len == 0)
+        return;
+    if (walk->n_streams < walk->stream_capacity)
+        stream = &walk->stream_slots[walk->n_streams++];
+    else
+        stream = walk->stream_order[walk->n_streams - 1];
+    memmove(walk->stream_order + 1, walk->stream_order,
+            (size_t)(walk->n_streams - 1) * sizeof(Stream *));
+    walk->stream_order[0] = stream;
+    window = stream->window;
+    stream->window = walk->spare;
+    walk->spare = window;
+    stream->pointer = pointer;
+    stream->len = len;
+}
+
 /* ------------------------------------------------- the shared walk */
 
 /* The engine's on_demand_access_into for one access with result code
@@ -773,7 +914,7 @@ static int predict(Walk *walk, int64_t block, int64_t pc, uint8_t trap,
         if (channel->active)
             advance_streams(walk, channel, block);
         if (code == 0) {
-            const int64_t start = index_lookup(channel, pc, walk->ways);
+            const int64_t start = index_lookup(&channel->index, pc);
             walk->triggers++;
             if (start >= 0) {
                 allocate_stream(walk, channel, start);
@@ -782,6 +923,24 @@ static int predict(Walk *walk, int64_t block, int64_t pc, uint8_t trap,
         }
         if (walk->n_cand)
             dedup_candidates(walk);
+        break;
+    }
+    case ENGINE_TIFS: {
+        /* The scan reads the log before this access's append, an
+         * allocation after it. */
+        const int matched = walk->n_streams && tifs_advance(walk, block);
+        if (code != 1) {
+            /* A would-be miss: a miss, or a first demand hit on a
+             * prefetched block. */
+            const int64_t position = walk->log_tail++;
+            int64_t previous;
+            walk->log[position % walk->log_capacity] = block;
+            previous = index_lookup(&walk->log_index, block);
+            if (index_insert(&walk->log_index, block, position) != WALK_OK)
+                return WALK_ENOMEM;
+            if (code == 0 && !matched && previous >= 0)
+                tifs_allocate(walk, previous + 1);
+        }
         break;
     }
     default:
@@ -815,8 +974,8 @@ static int train(Walk *walk, int code)
             channel->stats[CH_PASSED]++;
             channel->stats[CH_REGIONS_RECORDED]++;
             if (walk->pending[key]
-                    && index_insert(channel, plan->trigger[event], position,
-                                    walk->ways) != WALK_OK)
+                    && index_insert(&channel->index, plan->trigger[event],
+                                    position) != WALK_OK)
                 return WALK_ENOMEM;
         } else {
             channel->stats[CH_DISCARDED]++;
@@ -845,6 +1004,11 @@ static void walk_free(Walk *walk)
     free(walk->table.values);
     free(walk->table.prev);
     free(walk->table.next);
+    free(walk->log);
+    index_free(&walk->log_index);
+    free(walk->stream_slots);
+    free(walk->stream_order);
+    free(walk->stream_windows);
 }
 
 /* An empty cache and engine for config; on failure the walk holds what
@@ -862,15 +1026,18 @@ static int walk_init(Walk *walk, const int64_t *config, Plan plan)
     walk->width = walk->preceding + walk->succeeding;
     walk->sab_count = config[CFG_SAB_COUNT];
     walk->window = config[CFG_WINDOW];
-    walk->ways = config[CFG_INDEX_WAYS];
     walk->plan = plan;
     walk->next_event = plan.n ? plan.at[0] : -1;
+    walk->window_blocks = config[CFG_WINDOW_BLOCKS];
     /* A PIF access slides in at most window - 1 regions and allocates
      * at most window more; a discontinuity trigger adds a target and
-     * its successor to the next lines. */
+     * its successor to the next lines; a TIFS access refills or
+     * allocates one window. */
     max_cand = 2 * walk->window * (walk->width + 1);
     if (walk->degree + 2 > max_cand)
         max_cand = walk->degree + 2;
+    if (walk->window_blocks > max_cand)
+        max_cand = walk->window_blocks;
     for (seen_slots = 16; seen_slots < 2 * max_cand; seen_slots *= 2)
         ;
     walk->seen_mask = seen_slots - 1;
@@ -905,6 +1072,30 @@ static int walk_init(Walk *walk, const int64_t *config, Plan plan)
                 || table->prev == NULL || table->next == NULL)
             return WALK_ENOMEM;
     }
+    if (walk->engine == ENGINE_TIFS) {
+        /* The log is never pre-filled: only live positions are read. */
+        walk->log_capacity = config[CFG_HISTORY_BLOCKS];
+        walk->stream_capacity = config[CFG_STREAMS];
+        walk->log = malloc((size_t)walk->log_capacity * sizeof(int64_t));
+        walk->stream_slots = calloc((size_t)walk->stream_capacity,
+                                    sizeof(Stream));
+        walk->stream_order = calloc((size_t)walk->stream_capacity,
+                                    sizeof(Stream *));
+        walk->stream_windows = malloc(
+            (size_t)((walk->stream_capacity + 1) * walk->window_blocks)
+            * sizeof(int64_t));
+        if (index_init(&walk->log_index, config[CFG_INDEX_SETS],
+                       config[CFG_INDEX_WAYS]) != WALK_OK
+                || walk->log == NULL || walk->stream_slots == NULL
+                || walk->stream_order == NULL
+                || walk->stream_windows == NULL)
+            return WALK_ENOMEM;
+        for (slot = 0; slot < walk->stream_capacity; slot++)
+            walk->stream_slots[slot].window = walk->stream_windows
+                                              + slot * walk->window_blocks;
+        walk->spare = walk->stream_windows
+                      + walk->stream_capacity * walk->window_blocks;
+    }
     return WALK_OK;
 }
 
@@ -924,10 +1115,17 @@ static void walk_report(const Walk *walk, int64_t n_access,
     out_lane[OUT_STREAM_ALLOCATIONS] = walk->stream_allocations;
     out_lane[OUT_RETIRED] = walk->retired;
     out_lane[OUT_CHANNELS] = walk->n_channels;
-    for (key = 0; key < walk->n_channels; key++)
-        memcpy(out_channels + key * CH_FIELDS,
-               walk->channels[walk->created[key]]->stats,
-               CH_FIELDS * sizeof(int64_t));
+    out_lane[OUT_INDEX_INSERTIONS] = walk->log_index.insertions;
+    out_lane[OUT_INDEX_HITS] = walk->log_index.hits;
+    out_lane[OUT_INDEX_MISSES] = walk->log_index.misses;
+    for (key = 0; key < walk->n_channels; key++) {
+        const Channel *channel = walk->channels[walk->created[key]];
+        int64_t *row = out_channels + key * CH_FIELDS;
+        memcpy(row, channel->stats, CH_FIELDS * sizeof(int64_t));
+        row[CH_INDEX_INSERTIONS] = channel->index.insertions;
+        row[CH_INDEX_HITS] = channel->index.hits;
+        row[CH_INDEX_MISSES] = channel->index.misses;
+    }
 }
 
 /* ------------------------------------------------------ entry points */

@@ -17,7 +17,7 @@ Two interchangeable kernels drive the lane walk:
 
 * ``"fast"`` (the default) — native and flat-array walkers.  An
   exact-type engine of :data:`_NATIVE_ENGINES` (none, next-line,
-  stride, discontinuity, PIF) on the 2-way LRU/FIFO geometry (the
+  stride, discontinuity, TIFS, PIF) on the 2-way LRU/FIFO geometry (the
   paper's L1-I) takes :func:`_walk_lane_native`: one call into a C99
   walk (``_walk.c``, built on first use by :mod:`repro.sim.native`)
   over the bundle's access columns, PIF's train side replaying the
@@ -35,9 +35,10 @@ Two interchangeable kernels drive the lane walk:
   Prefetchers are driven through the buffer-reuse hook
   ``on_demand_access_into`` with a per-lane scratch list, so the
   steady-state loop allocates nothing per access.  A lane the native
-  walk declines (no C compiler, an engine walked before, an input
-  failing the native walk's checks) and every subclass and TIFS lane
-  take the hook-driven walkers with the same results.
+  walk declines (no C compiler, an engine walked before, a TIFS with
+  an unbounded history, an input failing the native walk's checks)
+  and every subclass lane take the hook-driven walkers with the same
+  results.
 * ``"reference"`` — the original object-model walk over
   :class:`~repro.cache.reference.ReferenceInstructionCache` with
   ``access()``/``on_demand_access()``, kept as the differentially
@@ -81,6 +82,7 @@ from ..prefetch.base import NullPrefetcher, Prefetcher, demand_access_hook
 from ..prefetch.discontinuity import DiscontinuityPrefetcher
 from ..prefetch.nextline import NextLinePrefetcher
 from ..prefetch.stride import StridePrefetcher
+from ..prefetch.tifs import TIFSPrefetcher
 from ..trace.bundle import TraceBundle
 from . import native
 from .baseline import measured_baseline
@@ -273,7 +275,8 @@ _NATIVE_CONFIG = (
     "engine", "n_sets", "mru_on_access", "warmup", "perfect", "degree",
     "miss_only", "table_entries", "separate", "preceding", "succeeding",
     "block_bits", "sab_count", "window", "history_main", "history_handler",
-    "index_sets_main", "index_sets_handler", "index_ways",
+    "index_sets_main", "index_sets_handler", "index_ways", "streams",
+    "window_blocks", "history_blocks", "index_sets",
 )
 
 #: Fields of the native walks' ``out_lane`` array, in the order of
@@ -283,7 +286,8 @@ _NATIVE_OUT = (
     "prefetch_requests", "prefetch_fills", "prefetch_drops_present",
     "evictions", "evicted_unused_prefetches", "remaining", "triggers",
     "issued", "stream_allocations", "retired", "channels", "levels",
-    "fetch_misses", "late_hits",
+    "fetch_misses", "late_hits", "index_insertions", "index_hits",
+    "index_misses",
 )
 
 #: Fields of one ``out_channels`` row (``_walk.c``'s ``CH_*`` enum).
@@ -351,8 +355,9 @@ def _plan_fits(plan: PIFTrainPlan, retires: int, width: int) -> bool:
 
 # Per-engine set-up of a native walk: ``(config fields, train plan)``,
 # where ``"engine"`` is ``_walk.c``'s ``ENGINE_*`` value, or None when
-# the engine has learned state (the C walk starts from empty state) or
-# a candidate could leave int64 (``top`` is the trace's largest block).
+# the engine has learned state (the C walk starts from empty state), a
+# candidate could leave int64 (``top`` is the trace's largest block) or
+# a structure has no C counterpart (TIFS's unbounded history).
 
 def _null_fields(engine: NullPrefetcher, bundle: TraceBundle, top: int):
     return {"engine": 0}, _NO_PLAN
@@ -410,9 +415,25 @@ def _pif_fields(engine: ProactiveInstructionFetch, bundle: TraceBundle,
     }, plan
 
 
+def _tifs_fields(engine: TIFSPrefetcher, bundle: TraceBundle, top: int):
+    # The C miss log is a ring: an unbounded history walks in Python.
+    history, index = engine.history, engine.index
+    if (history.capacity is None or history.tail or len(index)
+            or engine._streams):
+        return None
+    return {
+        "engine": 5, "streams": engine._stream_capacity,
+        "window_blocks": engine.window_blocks,
+        "history_blocks": history.capacity,
+        "index_sets": (index.capacity // index.associativity
+                       if index.capacity else 0),
+        "index_ways": index.associativity,
+    }, _NO_PLAN
+
+
 #: The engines the native walks run, by exact type: a subclass may
-#: change behaviour, so it takes the Python walkers (TIFS has no native
-#: engine).  Both :func:`run_multi_prefetch_simulation` and
+#: change behaviour, so it takes the Python walkers.  Both
+#: :func:`run_multi_prefetch_simulation` and
 #: :func:`repro.sim.timing.run_timing_simulation` choose from this table.
 _NATIVE_ENGINES = {
     NullPrefetcher: _null_fields,
@@ -420,6 +441,7 @@ _NATIVE_ENGINES = {
     StridePrefetcher: _stride_fields,
     DiscontinuityPrefetcher: _discontinuity_fields,
     ProactiveInstructionFetch: _pif_fields,
+    TIFSPrefetcher: _tifs_fields,
 }
 
 
@@ -431,7 +453,8 @@ def _native_inputs(engine: Prefetcher, cache: InstructionCache,
     points of ``_walk.c`` start with — or None when the walk must take
     the Python walkers: an engine outside :data:`_NATIVE_ENGINES` or a
     cache other than 2-way LRU/FIFO, no library, an engine with learned
-    state, or an input failing a check the C side relies on."""
+    state, a TIFS with an unbounded history, or an input failing a
+    check the C side relies on."""
     fields_for = _NATIVE_ENGINES.get(type(engine))
     if fields_for is None or cache._mru is None:
         return None
@@ -463,8 +486,8 @@ def _native_outputs():
 
 def _native_counts(engine: Prefetcher, out_lane: np.ndarray,
                    out_channels: np.ndarray) -> Dict[str, int]:
-    """Write a native walk's engine counters back — ``PrefetchStats``
-    and, for PIF, every channel's
+    """Write a native walk's engine counters back — ``PrefetchStats``,
+    for TIFS the index counters, and for PIF every channel's
     :class:`~repro.core.pif.PIFChannelStats` and compactor, index and
     SAB-file counters — and mark the engine ``walked_natively``, since
     its learned state stayed in C.  Returns ``out_lane`` by name."""
@@ -472,6 +495,10 @@ def _native_counts(engine: Prefetcher, out_lane: np.ndarray,
     engine.stats.triggers += counts["triggers"]
     engine.stats.issued += counts["issued"]
     engine.stats.stream_allocations += counts["stream_allocations"]
+    if type(engine) is TIFSPrefetcher:
+        engine.index.insertions += counts["index_insertions"]
+        engine.index.hits += counts["index_hits"]
+        engine.index.misses += counts["index_misses"]
     for row in out_channels[:counts["channels"]].tolist():
         channel_counts = dict(zip(_NATIVE_CHANNEL, row))
         channel = engine._channel(channel_counts["key"])

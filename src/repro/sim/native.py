@@ -1,7 +1,7 @@
 """Build and load the native lane and timing walks (``_walk.c``).
 
 The fast kernel walks exact-type engines on the paper's 2-way cache --
-none, next-line, stride, discontinuity and PIF -- through a plain-C99
+none, next-line, stride, discontinuity, TIFS and PIF -- through a plain-C99
 library called with :mod:`ctypes`: one entry point for the lane walk
 (:func:`repro.sim.engine._walk_lane_native`) and one for the timing walk
 (:func:`repro.sim.timing._run_timing_native`).  This module compiles

@@ -21,14 +21,15 @@ latency for never-before-touched blocks.
 
 Like the lane walk in :mod:`repro.sim.engine`, the fetch loop runs
 natively by default: an exact-type engine of the engine's native table
-(none, next-line, stride, discontinuity, PIF) on the 2-way LRU/FIFO
-L1-I takes the timing entry point of ``_walk.c``
+(none, next-line, stride, discontinuity, TIFS, PIF) on the 2-way
+LRU/FIFO L1-I takes the timing entry point of ``_walk.c``
 (:func:`_run_timing_native`), which reproduces
 :func:`_run_timing_fast` bit for bit: it takes the loop's float
 constants from :func:`_loop_constants`, adds in the loop's order and
-returns the three accumulators as doubles.  Every other case — TIFS,
+returns the three accumulators as doubles.  Every other case —
 subclasses, other geometries, no C compiler, an engine walked before,
-inputs failing the native checks — takes :func:`_run_timing_fast`, the
+a TIFS with an unbounded history, inputs failing the native checks —
+takes :func:`_run_timing_fast`, the
 columnar loop over the bundle's raw columns (no ``FetchAccess``
 objects) that probes the cache through ``access_fast`` result codes
 and drives the prefetcher through the buffer-reuse

@@ -10,7 +10,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments.ablations import run_source_ablation, run_temporal_ablation
+from repro.common.config import CacheConfig
+from repro.experiments.ablations import (
+    run_ablation,
+    run_source_ablation,
+    run_temporal_ablation,
+)
 from repro.experiments.common import (
     ExperimentConfig,
     QUICK_CONFIG,
@@ -53,6 +58,21 @@ class TestCommon:
     def test_experiment_config_validation(self):
         config = ExperimentConfig()
         assert config.cache.capacity_bytes == 32 * 1024
+
+    @pytest.mark.parametrize("field_name, value", [
+        ("cache", CacheConfig(capacity_bytes=16 * 1024, associativity=2)),
+        ("warmup_fraction", 0.25)])
+    def test_spec_runs_refuse_a_cache_or_warmup_they_ignore(
+            self, tmp_path, field_name, value):
+        """fig10 and the ablations take their cache and warmup from
+        their specs, so a config asking for others is refused before
+        anything runs."""
+        config = replace(SMOKE, **{field_name: value})
+        with pytest.raises(ValueError, match=f"ExperimentConfig.{field_name}"):
+            run_fig10(config, out=tmp_path)
+        with pytest.raises(ValueError, match=f"ExperimentConfig.{field_name}"):
+            run_ablation("temporal", config, out=tmp_path)
+        assert not list(tmp_path.iterdir())
 
 
 class TestFig2:

@@ -251,14 +251,11 @@ class TestWalkerSelection:
 
         # Exact engine types of the native table take the native walk.
         for name in ("none", "next-line", "next-line-miss", "stride",
-                     "discontinuity"):
+                     "discontinuity", "tifs"):
             assert _select_walker(lane_for(make_prefetcher(name))) is \
                 _walk_lane_native, name
         assert _select_walker(lane_for(build_engine("pif"))) is \
             _walk_lane_native
-        # TIFS has no native engine.
-        assert _select_walker(lane_for(make_prefetcher("tifs"))) is \
-            _walk_lane_inline2
         # Subclasses must not inherit the native walk (AccessOrderPIF
         # must fall back to the hook-driven walker, not replay the
         # retire-order train plan).

@@ -24,6 +24,7 @@ from repro.prefetch.base import NullPrefetcher
 from repro.prefetch.discontinuity import DiscontinuityPrefetcher
 from repro.prefetch.nextline import NextLinePrefetcher
 from repro.prefetch.stride import StridePrefetcher
+from repro.prefetch.tifs import TIFSPrefetcher
 from repro.sim import native
 from repro.sim.engine import run_multi_prefetch_simulation
 from repro.sim.timing import run_timing_simulation
@@ -53,10 +54,12 @@ def native_library():
 
 
 def engine_state(engine):
-    """Everything a native walk writes back: prefetch stats, and for PIF
-    per channel (in creation order) the channel stats plus the
-    compactor, index and SAB-file counters."""
-    return (engine.stats, [
+    """Everything a native walk writes back: prefetch stats, for TIFS
+    the index counters, and for PIF per channel (in creation order) the
+    channel stats plus the compactor, index and SAB-file counters."""
+    index = getattr(engine, "index", None)
+    return (engine.stats, index is not None and (
+        index.insertions, index.hits, index.misses), [
         (key, channel.stats, channel.spatial.regions_emitted,
          channel.temporal.passed, channel.temporal.discarded,
          channel.index.insertions, channel.index.hits, channel.index.misses,
@@ -114,7 +117,12 @@ def time_both(bundle, make_engine, config=CACHE, warmup=0.4,
 # tables.  For PIF they wrap a 64-entry history (SAB pointers
 # overwritten), evict from a 2-8-entry index, and cover the unbounded
 # index, merged trap levels, no temporal compaction, region geometries
-# from (0, 0) to 62 bits, and 1 or 8 SABs of 1 or 7 regions.
+# from (0, 0) to 62 bits, and 1 or 8 SABs of 1 or 7 regions.  For TIFS
+# they wrap a 4-64-block miss log under live stream pointers, evict
+# from an 8-64-entry index (or use the unbounded one), and run 1-4
+# streams of 1-12-block windows: streams whose refill comes back empty
+# stay listed, refilled windows repeat blocks, and wrong-path fetches
+# train the log.
 
 @st.composite
 def synthetic_bundles(draw):
@@ -127,7 +135,7 @@ def synthetic_bundles(draw):
     order = draw(st.lists(st.integers(0, len(paths) - 1), min_size=10,
                           max_size=120))
     noise = draw(st.lists(st.integers(0, 400), max_size=40))
-    blocks, traps, wrongs, retire_pcs, retire_traps = [], [], [], [], []
+    blocks, traps, wrongs = [], [], []
     previous = None
     for step, which in enumerate(order):
         path, trap = paths[which]
@@ -135,26 +143,29 @@ def synthetic_bundles(draw):
             if block == previous:
                 continue  # the retire stream is block-run collapsed
             previous = block
-            pc = block * 64 + 4 * (block % 16)
             blocks.append(block)
             traps.append(trap)
             wrongs.append(False)
-            retire_pcs.append(pc)
-            retire_traps.append(trap)
         if noise and step % 3 == 0:
             blocks.append(noise[step % len(noise)])
             traps.append(trap)
             wrongs.append(True)
+    return synthetic_bundle(blocks, traps, wrongs)
+
+
+def synthetic_bundle(blocks, traps, wrongs):
+    """The bundle of these accesses: one retire record per correct-path
+    access, PCs derived from the blocks."""
     access_block = np.asarray(blocks, dtype=np.int64)
     access_pc = access_block * 64 + 4 * (access_block % 16)
+    access_trap = np.asarray(traps, dtype=np.uint8)
+    wrong = np.asarray(wrongs, dtype=np.bool_)
     return TraceBundle.from_columns(
         workload="synthetic", core=0, seed=0, block_bytes=64,
-        retire_pc=np.asarray(retire_pcs, dtype=np.int64),
-        retire_trap=np.asarray(retire_traps, dtype=np.uint8),
+        retire_pc=access_pc[~wrong], retire_trap=access_trap[~wrong],
         access_block=access_block, access_pc=access_pc,
-        access_trap=np.asarray(traps, dtype=np.uint8),
-        access_wrong_path=np.asarray(wrongs, dtype=np.bool_),
-        instructions=len(retire_pcs))
+        access_trap=access_trap, access_wrong_path=wrong,
+        instructions=int((~wrong).sum()))
 
 
 _geometries = st.one_of(
@@ -171,7 +182,7 @@ _indexes = st.sampled_from([(2, 1), (2, 2), (4, 2), (4, 4), (6, 2),
 def engine_makers(draw):
     """A maker of fresh engines of one drawn type and configuration."""
     kind = draw(st.sampled_from(["none", "next-line", "stride",
-                                 "discontinuity", "pif"]))
+                                 "discontinuity", "tifs", "pif"]))
     if kind == "none":
         return NullPrefetcher
     if kind == "next-line":
@@ -185,6 +196,11 @@ def engine_makers(draw):
         entries = draw(st.integers(1, 64))
         next_lines = draw(st.integers(0, 3))
         return lambda: DiscontinuityPrefetcher(entries, next_lines)
+    if kind == "tifs":
+        history = draw(st.integers(4, 64))
+        entries = draw(st.sampled_from([None, 8, 16, 64]))
+        streams, window = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+        return lambda: TIFSPrefetcher(history, entries, streams, window)
     index = draw(_indexes)
     config = PIFConfig(
         geometry=RegionGeometry(*draw(_geometries)), history_entries=64,
@@ -218,6 +234,46 @@ def test_native_matches_reference(native_library, bundle, make_engine, mode,
     assert engine.walked_natively == (type(engine) is not NullPrefetcher)
 
 
+#: One short trace per TIFS trap a native walk could miss, each the
+#: smallest Hypothesis found on which a Python model of the mistake
+#: diverges from ``TIFSPrefetcher``: (TIFS arguments: history, index,
+#: streams, window; blocks; wrong-path positions).  The 1 KB L1-I has
+#: 8 sets, so blocks 0, 8 and 16 share one, as do 6, 38 and 134.
+TIFS_TRAPS = {
+    "a stream left empty by its refill keeps its place": (
+        (7, None, 2, 1),
+        [134, 0, 0, 134, 0, 134, 0, 134, 0, 0, 134, 0, 6, 8, 16, 38, 134,
+         0, 0, 6, 8, 16, 38, 6, 8, 16, 38, 6, 8, 16, 38, 0, 134, 0],
+        (2, 9, 18, 31)),
+    "every repeat in a refilled or allocated window is queued": (
+        (4, None, 2, 3), [8, 0, 8, 16] * 10, ()),
+    "candidates are new to the window before the slide": (
+        (6, None, 2, 4), [0, 3] * 7 + [1, 8, 16, 0, 2, 0, 3, 0, 3], ()),
+    "the scan reads the log before the access's append": (
+        (4, None, 1, 2), [0, 16] * 7 + [8, 0, 16, 0, 16], ()),
+    "an allocation reads the log after the access's append": (
+        (4, None, 1, 3), [0, 16] * 9 + [8, 0], ()),
+    "wrong-path fetches train the log": (
+        (4, None, 1, 1), [1, 0, 0, 0, 0], (1, 2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("trap", TIFS_TRAPS)
+def test_tifs_traps(native_library, monkeypatch, trap):
+    """The draws above reach these traps now and then; each trace here
+    reaches one every run, in the lane walk and the timing walk."""
+    monkeypatch.setenv("REPRO_TRACE_STORE", "off")
+    arguments, blocks, wrong = TIFS_TRAPS[trap]
+    bundle = synthetic_bundle(blocks, [0] * len(blocks),
+                              [at in wrong for at in range(len(blocks))])
+    config = CacheConfig(capacity_bytes=1024, associativity=2)
+    engine, = walk_both(bundle, lambda: [TIFSPrefetcher(*arguments)],
+                        config=config, warmup=0.0)
+    assert engine.walked_natively
+    assert time_both(bundle, lambda: TIFSPrefetcher(*arguments),
+                     config=config, warmup=0.0).walked_natively
+
+
 # ----------------------------------------------------------------------
 # Engine-state contract.
 
@@ -227,7 +283,7 @@ def pif_engines():
 
 #: Makers of every native engine type that learns state.
 STATEFUL = (lambda: pif_engines()[0], NextLinePrefetcher, StridePrefetcher,
-            DiscontinuityPrefetcher)
+            DiscontinuityPrefetcher, TIFSPrefetcher)
 
 
 def test_second_walk_is_refused(native_library, oltp_trace):

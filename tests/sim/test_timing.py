@@ -151,8 +151,7 @@ class TestKernelEquivalence:
                 warmup_fraction=0.4, kernel="fast")
             assert reference == fast
             if engine is not None:
-                assert engine.walked_natively == (
-                    loaded and engine_name != "tifs")
+                assert engine.walked_natively == loaded
 
     @pytest.mark.parametrize("kernel", ["fast", "reference"])
     def test_perfect_cache_identical_across_kernels(self, web_trace,
