@@ -1,4 +1,4 @@
-"""Native PIF walks vs the hook walkers once the real history wraps.
+"""Native PIF walks vs the reference walk once the real history wraps.
 
 ``tests/sim/test_native.py`` reaches history overwrites only through a
 64-entry history on small synthetic traces, and the fast suite's
@@ -9,8 +9,9 @@ than its history holds, so SAB pointers into overwritten entries are
 live.  The timing model is on, so every point also times its engine
 and the no-prefetch baseline.  The sweep runs twice — through the
 native lane and timing walks and with the loader returning None, which
-sends every lane and timing to the hook-driven walkers — and every
-point must record equal metrics, ``uipc`` and ``speedup`` included.
+sends every lane, timing and baseline to the reference walk — and
+every point must record equal metrics, ``uipc`` and ``speedup``
+included.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ def test_native_walk_matches_hook_walker_when_history_wraps(tmp_path,
     quiet = {"log": lambda line: None}
     run_sweep(spec, tmp_path / "native", **quiet)
     monkeypatch.setattr(native, "load", lambda: None)
-    run_sweep(spec, tmp_path / "hook", **quiet)
+    run_sweep(spec, tmp_path / "reference", **quiet)
 
     walked_natively = _metrics(tmp_path / "native")
-    walked_by_hooks = _metrics(tmp_path / "hook")
+    walked_by_reference = _metrics(tmp_path / "reference")
     assert len(walked_natively) == len(points)
-    assert walked_natively == walked_by_hooks
+    assert walked_natively == walked_by_reference

@@ -1,4 +1,4 @@
-"""Set-associative instruction-cache model (flat-array fast kernel).
+"""Set-associative instruction-cache model (the object model).
 
 Functional (non-timed) model of the paper's 64 KB 2-way L1-I.  It tracks
 a *prefetched* bit per resident block — the tag the PIF design threads
@@ -6,44 +6,23 @@ from the fetch stage to the compactors ("instructions that were not
 explicitly prefetched are tagged at the fetch stage", Section 4.2) — and
 all the counters needed for accuracy/coverage reporting.
 
-This is the hot core of every simulation, so the state layout is flat:
-one slot per (set, way) across three parallel arrays — a tag list, a
-packed prefetched/referenced flag byte, and a recency stamp — instead
-of per-set dictionaries of line objects with a replacement-policy object
-per set.  LRU and FIFO are inlined as monotonic timestamps (LRU stamps
-on access and fill, FIFO on fill only; the victim is the minimum stamp
-in the set), and the random policy keeps the per-set ``Random(0)`` draw
-sequence of :class:`~repro.cache.replacement.RandomPolicy`.  The
-steady-state demand path, :meth:`InstructionCache.access_fast`, performs
-no allocation at all: it returns one of the integer result codes below.
-
-The object-model original lives on as
-:class:`repro.cache.reference.ReferenceInstructionCache`; the two are
-kept bit-identical by the differential suites in ``tests/cache`` and
-``tests/sim``.
+The model is deliberately simple: per-set ``dict`` tag stores, one
+:class:`~repro.cache.replacement.ReplacementPolicy` object per set, a
+`_Line` dataclass per resident block.  It is the cache of the reference
+walks in :mod:`repro.sim.engine` and :mod:`repro.sim.timing`, and the
+semantics the native walks (``sim/_walk.c``) reproduce bit for bit for
+every associativity and replacement policy (``tests/sim/test_native.py``
+and the kernel-equivalence suites lock the two planes together).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..common.config import CacheConfig
+from .replacement import ReplacementPolicy, make_policy
 from .stats import CacheStats
-
-#: ``access_fast`` result codes.  ``HIT_PREFETCHED`` marks the *first*
-#: demand hit on a block a prefetcher installed — the complement of the
-#: PIF fetch-stage tag (``tagged == code != HIT_PREFETCHED``).
-MISS = 0
-HIT = 1
-HIT_PREFETCHED = 2
-
-#: Flag-byte bits: bit 0 = installed by a prefetch, bit 1 = demanded
-#: since install.  A flag byte of exactly ``_PREFETCHED`` therefore
-#: identifies an unused prefetch.
-_PREFETCHED = 1
-_REFERENCED = 2
 
 
 @dataclass(slots=True)
@@ -65,6 +44,13 @@ class AccessResult:
         return not self.was_prefetched
 
 
+@dataclass(slots=True)
+class _Line:
+    block: int
+    prefetched: bool
+    referenced: bool
+
+
 class InstructionCache:
     """A set-associative cache of instruction blocks.
 
@@ -72,10 +58,6 @@ class InstructionCache:
     (optionally) filled immediately; timing is layered on by
     :mod:`repro.sim.timing`.  All addresses are *block* addresses — the
     callers do the PC-to-block mapping.
-
-    Hot-path callers use :meth:`access_fast` (returns a result code and
-    allocates nothing); :meth:`access` wraps it in an
-    :class:`AccessResult` for external consumers.
     """
 
     def __init__(self, config: Optional[CacheConfig] = None) -> None:
@@ -83,38 +65,12 @@ class InstructionCache:
         self.stats = CacheStats()
         self._n_sets = self.config.n_sets
         self._ways = self.config.associativity
-        n_slots = self._n_sets * self._ways
-        #: Resident block per slot; None marks a free way.  (None, not a
-        #: numeric sentinel: block addresses are unconstrained ints —
-        #: stride prefetchers can legitimately probe negative blocks.)
-        self._tags: List[Optional[int]] = [None] * n_slots
-        self._flags = bytearray(n_slots)
-        self._stamps = [0] * n_slots
-        self._tick = 0
-        replacement = self.config.replacement
-        if replacement == "random":
-            # One RNG per set, matching the policy objects the reference
-            # model builds (Random(0) each).
-            self._rngs: Optional[List[random.Random]] = [
-                random.Random(0) for _ in range(self._n_sets)]
-        else:
-            self._rngs = None
-        # Two-way LRU/FIFO (the paper's L1-I geometry) collapses recency
-        # to a single "most recent way" byte per set: the victim is the
-        # other way.  The general stamp machinery serves the remaining
-        # (associativity, policy) combinations.  _mru doubles as the
-        # capability flag the engine checks before selecting its inlined
-        # 2-way lane walk — both planes share this one structure.
-        self._mru: Optional[bytearray] = None
-        self._mru_on_access = False
-        if self._ways == 2 and replacement in ("lru", "fifo"):
-            self._mru = bytearray(self._n_sets)
-            self._mru_on_access = replacement == "lru"
-            self._stamp_on_access = False
-            self._stamp_on_fill = False
-        else:
-            self._stamp_on_access = replacement == "lru"
-            self._stamp_on_fill = replacement in ("lru", "fifo")
+        self._sets: List[Dict[int, _Line]] = [dict() for _ in range(self._n_sets)]
+        self._policies: List[ReplacementPolicy] = [
+            make_policy(self.config.replacement, self._ways)
+            for _ in range(self._n_sets)
+        ]
+        self._way_of: List[Dict[int, int]] = [dict() for _ in range(self._n_sets)]
 
     def set_index(self, block: int) -> int:
         """Set an instruction block maps to."""
@@ -122,166 +78,100 @@ class InstructionCache:
 
     def contains(self, block: int) -> bool:
         """Presence probe with no side effects (used by prefetch filtering)."""
-        tags = self._tags
-        slot = (block % self._n_sets) * self._ways
-        end = slot + self._ways
-        while slot < end:
-            if tags[slot] == block:
-                return True
-            slot += 1
-        return False
-
-    def access_fast(self, block: int, fill_on_miss: bool = True) -> int:
-        """Demand access returning a result code; allocation-free.
-
-        Returns :data:`MISS`, :data:`HIT` or :data:`HIT_PREFETCHED`,
-        with exactly the state transitions and counter updates of
-        :meth:`access`.  On a miss the block is filled immediately when
-        ``fill_on_miss`` (the functional-model default); timing
-        simulators pass False and manage fills themselves.
-        """
-        stats = self.stats
-        stats.demand_accesses += 1
-        index = block % self._n_sets
-        slot = index * self._ways
-        end = slot + self._ways
-        tags = self._tags
-        base = slot
-        while slot < end:
-            if tags[slot] == block:
-                stats.demand_hits += 1
-                if self._mru_on_access:
-                    self._mru[index] = slot - base
-                elif self._stamp_on_access:
-                    self._tick = tick = self._tick + 1
-                    self._stamps[slot] = tick
-                flags = self._flags
-                state = flags[slot]
-                if state == _PREFETCHED:
-                    flags[slot] = _PREFETCHED | _REFERENCED
-                    stats.useful_prefetches += 1
-                    return 2
-                flags[slot] = state | _REFERENCED
-                return 1
-            slot += 1
-        stats.demand_misses += 1
-        if fill_on_miss:
-            self._install(block, index, 0)
-        return 0
+        return block in self._sets[self.set_index(block)]
 
     def access(self, block: int, fill_on_miss: bool = True) -> AccessResult:
         """Demand access for ``block``; updates replacement and counters.
 
-        Object-API wrapper over :meth:`access_fast` for external
-        callers; simulation hot loops use the code path directly.
+        On a miss the block is filled immediately when ``fill_on_miss``
+        (the functional-model default); timing simulators pass False and
+        manage fills themselves.
         """
-        code = self.access_fast(block, fill_on_miss)
-        if code == 0:
-            return AccessResult(hit=False, was_prefetched=False)
-        return AccessResult(hit=True, was_prefetched=code == 2)
+        index = self.set_index(block)
+        lines = self._sets[index]
+        self.stats.demand_accesses += 1
+        line = lines.get(block)
+        if line is not None:
+            self.stats.demand_hits += 1
+            was_prefetched = line.prefetched and not line.referenced
+            if was_prefetched:
+                self.stats.useful_prefetches += 1
+            line.referenced = True
+            self._policies[index].on_access(self._way_of[index][block])
+            return AccessResult(hit=True, was_prefetched=was_prefetched)
+        self.stats.demand_misses += 1
+        if fill_on_miss:
+            self._fill(block, prefetched=False)
+        return AccessResult(hit=False, was_prefetched=False)
 
     def prefetch(self, block: int) -> bool:
         """Install ``block`` on behalf of a prefetcher.
 
         Probes first — "predictions first probe the instruction cache to
         confirm that the block is not present" (Section 4.3) — and
-        returns True only if a fill actually happened.  The probe and
-        the fill share one set lookup.
+        returns True only if a fill actually happened.
         """
-        stats = self.stats
-        stats.prefetch_requests += 1
-        index = block % self._n_sets
-        slot = index * self._ways
-        end = slot + self._ways
-        tags = self._tags
-        while slot < end:
-            if tags[slot] == block:
-                stats.prefetch_drops_present += 1
-                return False
-            slot += 1
-        self._install(block, index, _PREFETCHED)
-        stats.prefetch_fills += 1
+        self.stats.prefetch_requests += 1
+        if self.contains(block):
+            self.stats.prefetch_drops_present += 1
+            return False
+        self._fill(block, prefetched=True)
+        self.stats.prefetch_fills += 1
         return True
 
     def fill(self, block: int, prefetched: bool = False) -> Optional[int]:
         """Explicit fill used by timing simulators; returns the evicted
         block, if any."""
-        index = block % self._n_sets
-        slot = index * self._ways
-        end = slot + self._ways
-        tags = self._tags
-        base = slot
-        while slot < end:
-            if tags[slot] == block:
-                # Refill of a resident block: refresh recency only.
-                if self._mru is not None:
-                    self._mru[index] = slot - base
-                elif self._stamp_on_fill:
-                    self._tick = tick = self._tick + 1
-                    self._stamps[slot] = tick
-                return None
-            slot += 1
-        return self._install(block, index, _PREFETCHED if prefetched else 0)
+        return self._fill(block, prefetched)
 
     def invalidate(self, block: int) -> bool:
         """Remove ``block`` if present (True if it was resident)."""
-        tags = self._tags
-        slot = (block % self._n_sets) * self._ways
-        end = slot + self._ways
-        while slot < end:
-            if tags[slot] == block:
-                tags[slot] = None
-                self._flags[slot] = 0
-                return True
-            slot += 1
-        return False
+        index = self.set_index(block)
+        lines = self._sets[index]
+        if block not in lines:
+            return False
+        way = self._way_of[index].pop(block)
+        del lines[block]
+        self._policies[index].on_invalidate(way)
+        return True
 
     def resident_blocks(self) -> List[int]:
         """All resident block addresses (unordered; for tests/tools)."""
-        return [block for block in self._tags if block is not None]
+        blocks: List[int] = []
+        for lines in self._sets:
+            blocks.extend(lines.keys())
+        return blocks
 
-    def _install(self, block: int, index: int, flag: int) -> Optional[int]:
-        """Fill ``block`` into its set; the caller has established that
-        the block is absent.  Returns the evicted block, if any."""
-        base = index * self._ways
-        end = base + self._ways
-        tags = self._tags
-        # Free ways fill lowest-index first (the reference model's
-        # ``_free_ways_of`` order).
-        slot = base
-        while slot < end:
-            if tags[slot] is None:
-                break
-            slot += 1
-        evicted: Optional[int] = None
-        mru = self._mru
-        if slot == end:
-            if mru is not None:
-                slot = base + 1 - mru[index]
-            else:
-                rngs = self._rngs
-                if rngs is not None:
-                    slot = base + rngs[index].randrange(self._ways)
-                else:
-                    stamps = self._stamps
-                    slot = base
-                    best = stamps[base]
-                    probe = base + 1
-                    while probe < end:
-                        if stamps[probe] < best:
-                            best = stamps[probe]
-                            slot = probe
-                        probe += 1
-            evicted = tags[slot]
-            stats = self.stats
-            stats.evictions += 1
-            if self._flags[slot] == _PREFETCHED:
-                stats.evicted_unused_prefetches += 1
-        tags[slot] = block
-        self._flags[slot] = flag
-        if mru is not None:
-            mru[index] = slot - base
-        elif self._stamp_on_fill:
-            self._tick = tick = self._tick + 1
-            self._stamps[slot] = tick
-        return evicted
+    def _free_ways_of(self, index: int) -> List[int]:
+        used = set(self._way_of[index].values())
+        return [way for way in range(self._ways) if way not in used]
+
+    def _fill(self, block: int, prefetched: bool) -> Optional[int]:
+        index = self.set_index(block)
+        lines = self._sets[index]
+        if block in lines:
+            # Refill of a resident block: refresh recency only.
+            self._policies[index].on_fill(self._way_of[index][block])
+            return None
+        evicted_block: Optional[int] = None
+        free = self._free_ways_of(index)
+        if free:
+            way = free[0]
+        else:
+            way = self._policies[index].victim()
+            evicted_block = self._victim_block(index, way)
+            evicted_line = lines.pop(evicted_block)
+            del self._way_of[index][evicted_block]
+            self.stats.evictions += 1
+            if evicted_line.prefetched and not evicted_line.referenced:
+                self.stats.evicted_unused_prefetches += 1
+        lines[block] = _Line(block=block, prefetched=prefetched, referenced=False)
+        self._way_of[index][block] = way
+        self._policies[index].on_fill(way)
+        return evicted_block
+
+    def _victim_block(self, index: int, way: int) -> int:
+        for block, block_way in self._way_of[index].items():
+            if block_way == way:
+                return block
+        raise RuntimeError(f"victim way {way} of set {index} holds no block")

@@ -81,11 +81,6 @@ class ProactiveInstructionFetch(Prefetcher):
         self.separate_trap_levels = separate_trap_levels
         self.unbounded_index = unbounded_index
         self._channels: Dict[int, _Channel] = {}
-        # Reusable per-engine scratch for the access hot path: raw
-        # candidates land in _scratch, then are deduplicated into the
-        # caller's buffer via _seen.  Both are cleared, never replaced.
-        self._scratch: List[int] = []
-        self._seen: set = set()
 
     # ------------------------------------------------------------------
 
@@ -150,69 +145,25 @@ class ProactiveInstructionFetch(Prefetcher):
         miss inside a tracked window means the replay fell behind, and
         re-allocating from the most recent history position resyncs it.
         """
-        out: List[int] = []
-        self.on_demand_access_into(block, pc, trap_level, hit,
-                                   was_prefetched, out)
-        return out
-
-    def on_demand_access_into(self, block: int, pc: int, trap_level: int,
-                              hit: bool, was_prefetched: bool,
-                              out: List[int]) -> int:
-        """Buffer-reuse form of :meth:`on_demand_access`: deduplicated
-        candidates are appended to ``out``; the count is returned.
-
-        The SAB window probe is inlined here (the common case — no
-        active stream covers the fetch — must cost a couple of dict
-        probes, not a call chain), mirroring
-        :meth:`~repro.core.sab.SABFile.advance_into` exactly.
-        """
-        key = trap_level if self.separate_trap_levels else 0
-        channel = self._channels.get(key)
-        if channel is None:
-            channel = self._channel(trap_level)
-        scratch = self._scratch
-        advanced = -1
-        sabs = channel.sabs._sabs
-        for position, sab in enumerate(sabs):
-            slot = sab._block_map.get(block)
-            if slot is None:
-                continue
-            sab.matches += 1
-            if slot == 0:
-                advanced = 0
-            else:
-                sab.window = sab.window[slot:]
-                sab._rebuild_block_map()
-                advanced = sab._refill_into(channel.history, scratch)
-            if position:
-                del sabs[position]
-                sabs.insert(0, sab)
-            break
-        if advanced >= 0:
+        channel = self._channel(trap_level)
+        candidates = channel.sabs.advance(channel.history, block)
+        if candidates is None:
+            candidates = []
+        else:
             channel.stats.window_advances += 1
         if not hit and not was_prefetched:
             self.stats.triggers += 1
             start = channel.index.lookup(pc)
             if start is not None:
-                channel.sabs.allocate_into(channel.history, start, scratch)
+                candidates += channel.sabs.allocate(channel.history, start)
                 channel.stats.stream_allocations += 1
                 self.stats.stream_allocations += 1
-        if not scratch:
-            return 0
         # Deduplicate preserving order (a region's trigger block often
         # also arrives via the window slide) so issue counters stay
         # meaningful; the cache would drop the duplicates anyway.
-        seen = self._seen
-        issued = 0
-        for candidate in scratch:
-            if candidate not in seen:
-                seen.add(candidate)
-                out.append(candidate)
-                issued += 1
-        scratch.clear()
-        seen.clear()
-        self.stats.issued += issued
-        return issued
+        out = list(dict.fromkeys(candidates))
+        self.stats.issued += len(out)
+        return out
 
     # ------------------------------------------------------------------
 
@@ -232,8 +183,6 @@ class ProactiveInstructionFetch(Prefetcher):
     def reset(self) -> None:
         super().reset()
         self._channels = {}
-        self._scratch = []
-        self._seen = set()
 
     @property
     def geometry(self) -> RegionGeometry:
@@ -258,13 +207,13 @@ class AccessOrderPIF(ProactiveInstructionFetch):
     def on_retire(self, pc: int, trap_level: int, tagged: bool) -> None:
         """Retirement is invisible to this variant."""
 
-    def on_demand_access_into(self, block: int, pc: int, trap_level: int,
-                              hit: bool, was_prefetched: bool,
-                              out: List[int]) -> int:
-        issued = super().on_demand_access_into(block, pc, trap_level, hit,
-                                               was_prefetched, out)
+    def on_demand_access(self, block: int, pc: int, trap_level: int,
+                         hit: bool, was_prefetched: bool) -> List[int]:
+        """Predict as PIF does, then record this fetch."""
+        candidates = super().on_demand_access(block, pc, trap_level, hit,
+                                              was_prefetched)
         channel = self._channel(trap_level)
         region = channel.spatial.feed(pc, tagged=not was_prefetched)
         if region is not None:
             self._record(channel, region)
-        return issued
+        return candidates

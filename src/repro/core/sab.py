@@ -7,13 +7,6 @@ fetch lands inside the window — issuing prefetches for the records that
 slide into view.  A small file of SABs, most-recently-matched first,
 supports several concurrent streams (the paper uses four, each tracking
 seven regions).
-
-The file is probed on *every* front-end fetch of every lane, so the
-probe path follows the simulator's buffer-reuse protocol: the ``_into``
-variants append candidate blocks to a caller-owned list and return a
-count (−1 for "no stream matched"), allocating nothing on the
-steady-state no-match path.  The list-returning methods remain as thin
-wrappers for tests and external callers.
 """
 
 from __future__ import annotations
@@ -69,18 +62,10 @@ class StreamAddressBuffer:
         Returns the block addresses of the initial window, in replay
         order — the initial prefetch burst.
         """
-        blocks: List[int] = []
-        self.allocate_into(history, start_position, blocks)
-        return blocks
-
-    def allocate_into(self, history: HistoryBuffer[SpatialRegionRecord],
-                      start_position: int, out: List[int]) -> int:
-        """Buffer-reuse form of :meth:`allocate`: the initial burst is
-        appended to ``out``; returns the number of blocks appended."""
         self.pointer = start_position
         self.window = []
         self._block_map = {}
-        return self._refill_into(history, out)
+        return self._refill(history)
 
     def covers(self, block: int) -> bool:
         """True if ``block`` is inside the current window."""
@@ -93,29 +78,16 @@ class StreamAddressBuffer:
         Returns new prefetch candidates (possibly empty) on a match,
         None when the block is not part of this stream.
         """
-        blocks: List[int] = []
-        if self.advance_into(history, block, blocks) < 0:
-            return None
-        return blocks
-
-    def advance_into(self, history: HistoryBuffer[SpatialRegionRecord],
-                     block: int, out: List[int]) -> int:
-        """Buffer-reuse form of :meth:`advance`.
-
-        Returns −1 when ``block`` is not part of this stream; otherwise
-        the number of new candidates appended to ``out`` (0 for a match
-        in the head region, which does not slide the window).
-        """
         slot = self._block_map.get(block)
         if slot is None:
-            return -1
+            return None
         self.matches += 1
         if slot == 0:
             # Still in the head region: the pointer does not move.
-            return 0
+            return []
         self.window = self.window[slot:]
         self._rebuild_block_map()
-        return self._refill_into(history, out)
+        return self._refill(history)
 
     # ------------------------------------------------------------------
 
@@ -130,19 +102,17 @@ class StreamAddressBuffer:
             cache[record] = blocks
         return blocks
 
-    def _refill_into(self, history: HistoryBuffer[SpatialRegionRecord],
-                     out: List[int]) -> int:
-        """Read records at ``pointer`` until the window is full; append
-        the blocks of the newly read records to ``out`` in replay order
-        and return how many were appended."""
+    def _refill(self, history: HistoryBuffer[SpatialRegionRecord]
+                ) -> List[int]:
+        """Read records at ``pointer`` until the window is full; return
+        the blocks of the newly read records in replay order."""
+        out: List[int] = []
         needed = self.window_regions - len(self.window)
         if needed <= 0:
-            return 0
-        appended = 0
+            return out
         run = history.read_run(self.pointer, needed)
         window = self.window
-        block_map = self._block_map
-        setdefault = block_map.setdefault
+        setdefault = self._block_map.setdefault
         for position, record in run:
             slot = len(window)
             window.append((position, record))
@@ -150,10 +120,9 @@ class StreamAddressBuffer:
             for block in self._blocks_of(record):
                 setdefault(block, slot)
                 out.append(block)
-                appended += 1
         if run:
             self.pointer = run[-1][0] + 1
-        return appended
+        return out
 
     def _rebuild_block_map(self) -> None:
         self._block_map = block_map = {}
@@ -190,61 +159,30 @@ class SABFile:
         Returns the new prefetch candidates from the first SAB that
         matches, or None when no active stream covers the block.
         """
-        blocks: List[int] = []
-        if self.advance_into(history, block, blocks) < 0:
-            return None
-        return blocks
-
-    def advance_into(self, history: HistoryBuffer[SpatialRegionRecord],
-                     block: int, out: List[int]) -> int:
-        """Buffer-reuse form of :meth:`advance`: candidates from the
-        first matching SAB are appended to ``out``.  Returns the count
-        appended, or −1 when no active stream covers the block.
-
-        The window probe is inlined over each SAB's block map — this
-        runs once per front-end fetch of every PIF lane, and the common
-        outcome is "no stream covers the block", which must cost no
-        more than a few dict probes.
-        """
         sabs = self._sabs
         for position, sab in enumerate(sabs):
-            slot = sab._block_map.get(block)
-            if slot is None:
+            blocks = sab.advance(history, block)
+            if blocks is None:
                 continue
-            sab.matches += 1
-            if slot == 0:
-                # Still in the head region: the pointer does not move.
-                appended = 0
-            else:
-                sab.window = sab.window[slot:]
-                sab._rebuild_block_map()
-                appended = sab._refill_into(history, out)
             if position:
                 del sabs[position]
                 sabs.insert(0, sab)
-            return appended
-        return -1
+            return blocks
+        return None
 
     def allocate(self, history: HistoryBuffer[SpatialRegionRecord],
                  start_position: int) -> List[int]:
-        """Start a new stream, evicting the LRU SAB if the file is full."""
-        blocks: List[int] = []
-        self.allocate_into(history, start_position, blocks)
-        return blocks
-
-    def allocate_into(self, history: HistoryBuffer[SpatialRegionRecord],
-                      start_position: int, out: List[int]) -> int:
-        """Buffer-reuse form of :meth:`allocate`; the initial burst is
-        appended to ``out`` and the count returned."""
+        """Start a new stream, evicting the LRU SAB if the file is full;
+        returns its initial burst."""
         self.allocations += 1
         sab = StreamAddressBuffer(self.geometry, self.window_regions,
                                   self.block_bytes, self._block_cache)
-        appended = sab.allocate_into(history, start_position, out)
+        blocks = sab.allocate(history, start_position)
         sabs = self._sabs
         if len(sabs) >= self.count:
             sabs.pop()
         sabs.insert(0, sab)
-        return appended
+        return blocks
 
     def active_streams(self) -> List[StreamAddressBuffer]:
         """Current SABs, MRU first (for tests and introspection)."""

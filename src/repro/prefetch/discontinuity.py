@@ -33,33 +33,20 @@ class DiscontinuityPrefetcher(Prefetcher):
 
     def on_demand_access(self, block: int, pc: int, trap_level: int,
                          hit: bool, was_prefetched: bool) -> List[int]:
-        out: List[int] = []
-        self.on_demand_access_into(block, pc, trap_level, hit,
-                                   was_prefetched, out)
-        return out
-
-    def on_demand_access_into(self, block: int, pc: int, trap_level: int,
-                              hit: bool, was_prefetched: bool,
-                              out: List[int]) -> int:
         previous = self._previous_block
-        issued = 0
+        out: List[int] = []
         if previous is not None and previous != block:
             if not hit and block != previous + 1:
                 # Learn the discontinuity edge previous -> block.
                 self._table.put(previous, block)
             target = self._table.get(block)
             self.stats.triggers += 1
-            append = out.append
-            for offset in range(1, self.next_line_degree + 1):
-                append(block + offset)
-            issued = self.next_line_degree
+            out = list(range(block + 1, block + self.next_line_degree + 1))
             if target is not None:
-                append(target)
-                append(target + 1)
-                issued += 2
-            self.stats.issued += issued
+                out += (target, target + 1)
+            self.stats.issued += len(out)
         self._previous_block = block
-        return issued
+        return out
 
     def reset(self) -> None:
         super().reset()

@@ -37,28 +37,16 @@ class NextLinePrefetcher(Prefetcher):
 
     def on_demand_access(self, block: int, pc: int, trap_level: int,
                          hit: bool, was_prefetched: bool) -> List[int]:
-        out: List[int] = []
-        self.on_demand_access_into(block, pc, trap_level, hit,
-                                   was_prefetched, out)
-        return out
-
-    def on_demand_access_into(self, block: int, pc: int, trap_level: int,
-                              hit: bool, was_prefetched: bool,
-                              out: List[int]) -> int:
         if hit and self._miss_only:
-            return 0
+            return []
         if block == self._last_triggered:
             # Same-block fetch burst: the line buffer absorbs these in
             # hardware; re-issuing the same window is pure overhead.
-            return 0
+            return []
         self._last_triggered = block
         self.stats.triggers += 1
-        degree = self.degree
-        append = out.append
-        for offset in range(1, degree + 1):
-            append(block + offset)
-        self.stats.issued += degree
-        return degree
+        self.stats.issued += self.degree
+        return list(range(block + 1, block + self.degree + 1))
 
     def reset(self) -> None:
         super().reset()

@@ -28,18 +28,10 @@ class StridePrefetcher(Prefetcher):
 
     def on_demand_access(self, block: int, pc: int, trap_level: int,
                          hit: bool, was_prefetched: bool) -> List[int]:
-        out: List[int] = []
-        self.on_demand_access_into(block, pc, trap_level, hit,
-                                   was_prefetched, out)
-        return out
-
-    def on_demand_access_into(self, block: int, pc: int, trap_level: int,
-                              hit: bool, was_prefetched: bool,
-                              out: List[int]) -> int:
         last_block = self._last_block
         if last_block == block:
-            return 0
-        issued = 0
+            return []
+        out: List[int] = []
         if last_block is not None:
             stride = block - last_block
             if stride == self._last_stride and stride != 0:
@@ -49,13 +41,11 @@ class StridePrefetcher(Prefetcher):
             self._last_stride = stride
             if self._confirmed:
                 self.stats.triggers += 1
-                append = out.append
-                for step in range(1, self.degree + 1):
-                    append(block + stride * step)
-                issued = self.degree
-                self.stats.issued += issued
+                out = [block + stride * step
+                       for step in range(1, self.degree + 1)]
+                self.stats.issued += self.degree
         self._last_block = block
-        return issued
+        return out
 
     def reset(self) -> None:
         super().reset()

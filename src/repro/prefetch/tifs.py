@@ -67,17 +67,8 @@ class TIFSPrefetcher(Prefetcher):
     def on_demand_access(self, block: int, pc: int, trap_level: int,
                          hit: bool, was_prefetched: bool) -> List[int]:
         out: List[int] = []
-        self.on_demand_access_into(block, pc, trap_level, hit,
-                                   was_prefetched, out)
-        return out
-
-    def on_demand_access_into(self, block: int, pc: int, trap_level: int,
-                              hit: bool, was_prefetched: bool,
-                              out: List[int]) -> int:
-        before = len(out)
         # Advance the first (MRU-first) stream whose window has the
-        # block; the scan runs once per front-end fetch of every TIFS
-        # lane, so it stays inline rather than behind a helper call.
+        # block.
         matched = False
         streams = self._streams
         for position, stream in enumerate(streams):
@@ -97,10 +88,8 @@ class TIFSPrefetcher(Prefetcher):
             self.index.insert(block, position)
             if not hit and not matched and previous is not None:
                 self._allocate(previous + 1, out)
-        issued = len(out) - before
-        if issued:
-            self.stats.issued += issued
-        return issued
+        self.stats.issued += len(out)
+        return out
 
     # ------------------------------------------------------------------
 

@@ -2,20 +2,24 @@
  * Native lane and timing walks.
  *
  * Two entry points walk one engine over a trace bundle's access columns
- * on a 2-way LRU/FIFO cache, warmup and measured windows in one pass,
- * and reproduce bit for bit what the Python walks compute:
+ * on a set-associative cache, warmup and measured windows in one pass,
+ * and reproduce bit for bit what the reference walks in Python compute:
  *
- *   - walk_lane: one lane of repro.sim.engine's fast kernel (the
- *     reference lane walk's cache, lane and engine counters);
- *   - walk_timing: repro.sim.timing's fetch loop (_run_timing_fast):
- *     the in-flight map with deletion, the touched set, the issue-queue
- *     clock, the overlap and trap-drain rules, the warmup window and
- *     the perfect L1-I.  Its float constants come from Python and every
- *     sum is taken in the loop's order; with contraction off (the build
- *     passes -ffp-contract=off) the doubles it returns are the loop's.
+ *   - walk_lane: one lane of repro.sim.engine's lane walk (the cache,
+ *     lane and engine counters), and optionally the per-access hit
+ *     flags, which make the engine-less walk the no-prefetch baseline
+ *     replay (repro.sim.baseline);
+ *   - walk_timing: repro.sim.timing's fetch loop
+ *     (_run_timing_reference): the in-flight map with deletion, the
+ *     touched set, the issue-queue clock, the overlap and trap-drain
+ *     rules, the warmup window and the perfect L1-I.  Its float
+ *     constants come from Python and every sum is taken in the loop's
+ *     order; with contraction off (the build passes -ffp-contract=off)
+ *     the doubles it returns are the loop's.
  *
- * Both share the cache (InstructionCache.access_fast, fill and prefetch
- * on the 2-way geometry), the engines' predict sides and the PIF
+ * Both share the cache (repro.cache.icache.InstructionCache: any
+ * associativity, LRU, FIFO or random replacement, free ways filled
+ * lowest index first), the engines' predict sides and the PIF
  * train-plan replay.  The engines are exact types of the repository's
  * prefetchers, each starting from empty learned state:
  *
@@ -37,7 +41,10 @@
  *     (repro.sim.trainplan): per region emission, the history append
  *     and, for tagged triggers, the index insert.  Every trap-level
  *     channel has its own history ring, index and SAB file, sized by
- *     the caller.
+ *     the caller.  The retire-order PIF replays its plan at every
+ *     correct-path access; the fetch-order one (AccessOrderPIF) at
+ *     every access, wrong path included, from a plan built over the
+ *     access columns.
  *
  * The caller (repro.sim.engine) checks dtypes, lengths and value ranges
  * before passing pointers, including that no candidate block can leave
@@ -57,9 +64,9 @@
 /* Channel keys are trap levels (uint8 access column, plan keys < 256). */
 #define MAX_KEYS 256
 
-/* A free cache way or hash slot.  The caller's range checks keep every
- * block and candidate above it, and decoded region blocks are at least
- * -62, so no real value collides with it. */
+/* A free hash slot.  The caller's range checks keep every block and
+ * candidate above it, and decoded region blocks are at least -62, so no
+ * real value collides with it. */
 #define EMPTY INT64_MIN
 
 /* config[CFG_ENGINE]; repro.sim.engine's _NATIVE_ENGINES sets them. */
@@ -68,12 +75,15 @@ enum {
     ENGINE_PIF, ENGINE_TIFS
 };
 
+/* config[CFG_POLICY]; repro.sim.engine._NATIVE_POLICIES sets them. */
+enum { POLICY_LRU, POLICY_FIFO, POLICY_RANDOM };
+
 /* config[] layout; repro.sim.engine._NATIVE_CONFIG names the same. */
 enum {
-    CFG_ENGINE, CFG_N_SETS, CFG_MRU_ON_ACCESS, CFG_WARMUP, CFG_PERFECT,
-    CFG_DEGREE, CFG_MISS_ONLY, CFG_TABLE_ENTRIES, CFG_SEPARATE,
-    CFG_PRECEDING, CFG_SUCCEEDING, CFG_BLOCK_BITS, CFG_SAB_COUNT,
-    CFG_WINDOW, CFG_HISTORY_MAIN, CFG_HISTORY_HANDLER,
+    CFG_ENGINE, CFG_N_SETS, CFG_WAYS, CFG_POLICY, CFG_WARMUP, CFG_PERFECT,
+    CFG_HITS, CFG_DEGREE, CFG_MISS_ONLY, CFG_TABLE_ENTRIES, CFG_SEPARATE,
+    CFG_ACCESS_ORDER, CFG_PRECEDING, CFG_SUCCEEDING, CFG_BLOCK_BITS,
+    CFG_SAB_COUNT, CFG_WINDOW, CFG_HISTORY_MAIN, CFG_HISTORY_HANDLER,
     CFG_INDEX_SETS_MAIN, CFG_INDEX_SETS_HANDLER, CFG_INDEX_WAYS,
     CFG_STREAMS, CFG_WINDOW_BLOCKS, CFG_HISTORY_BLOCKS, CFG_INDEX_SETS
 };
@@ -157,15 +167,35 @@ typedef struct {
     int64_t stats[CH_FIELDS];
 } Channel;
 
-/* The 2-way cache: one slot per (set, way), tags EMPTY when free, flag
- * bit 0 = installed by a prefetch, bit 1 = demanded since, and per set
- * the most recently used (LRU) or filled (FIFO) way. */
+/* MT19937 as CPython's random module runs it. */
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t state[MT_N];
+    int index;
+} Mt;
+
+/* The cache: one slot per (set, way), a set's ways adjacent.  A slot
+ * holds a tag, a flag (bit 0 = installed by a prefetch, bit 1 =
+ * demanded since) and a stamp: the tick of its last demand hit or fill
+ * under LRU, of its fill under FIFO.  Free ways fill lowest index first
+ * and the walks never invalidate, so a set's first fill[set] ways hold
+ * its blocks and the rest are free.  The LRU or FIFO victim is the way
+ * with the smallest stamp; a random victim is the set's next
+ * Random(0).randrange(ways), each set drawing from its own generator as
+ * RandomPolicy does. */
 typedef struct {
     int64_t n_sets;
-    int mru_on_access;
+    int64_t ways;
+    int policy;
     int64_t *tags;
     uint8_t *flags;
-    uint8_t *mru;
+    int64_t *stamps;
+    int64_t *fill;
+    int64_t tick;
+    Mt *rngs;            /* random: one generator per set */
+    int shift;           /* random: 32 - ways.bit_length() */
     int64_t misses;
     int64_t useful;
     int64_t evictions;
@@ -236,7 +266,9 @@ typedef struct {
     uint32_t *seen_gen;
     int64_t seen_mask;
     uint32_t gen;
+    int access_order;    /* the plan's steps are accesses, not retires */
     Plan plan;
+    int64_t step;        /* train steps taken */
     int64_t event;
     int64_t next_event;
     int64_t retired;
@@ -368,45 +400,133 @@ static void map_delete(Map *map, int64_t slot)
     map->used--;
 }
 
+/* ----------------------------------------------------------- MT19937 */
+
+/* init_genrand, then init_by_array(key): CPython's random_seed for a
+ * non-negative int seed passes its 32-bit words as the key. */
+static void mt_seed(Mt *mt, const uint32_t *key, int key_length)
+{
+    uint32_t *state = mt->state;
+    int i = 1, j = 0, k;
+    state[0] = UINT32_C(19650218);
+    for (k = 1; k < MT_N; k++)
+        state[k] = UINT32_C(1812433253) * (state[k - 1]
+                                           ^ (state[k - 1] >> 30))
+                   + (uint32_t)k;
+    for (k = MT_N > key_length ? MT_N : key_length; k; k--) {
+        state[i] = (state[i] ^ ((state[i - 1] ^ (state[i - 1] >> 30))
+                                * UINT32_C(1664525)))
+                   + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            state[0] = state[MT_N - 1];
+            i = 1;
+        }
+        if (j >= key_length)
+            j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        state[i] = (state[i] ^ ((state[i - 1] ^ (state[i - 1] >> 30))
+                                * UINT32_C(1566083941)))
+                   - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            state[0] = state[MT_N - 1];
+            i = 1;
+        }
+    }
+    state[0] = UINT32_C(0x80000000);
+    mt->index = MT_N;
+}
+
+/* genrand_uint32. */
+static uint32_t mt_next(Mt *mt)
+{
+    uint32_t *state = mt->state, y;
+    if (mt->index >= MT_N) {
+        int k;
+        for (k = 0; k < MT_N; k++) {
+            y = (state[k] & UINT32_C(0x80000000))
+                | (state[(k + 1) % MT_N] & UINT32_C(0x7fffffff));
+            state[k] = state[(k + MT_M) % MT_N] ^ (y >> 1)
+                       ^ (y & 1 ? UINT32_C(0x9908b0df) : 0);
+        }
+        mt->index = 0;
+    }
+    y = state[mt->index++];
+    y ^= y >> 11;
+    y ^= (y << 7) & UINT32_C(0x9d2c5680);
+    y ^= (y << 15) & UINT32_C(0xefc60000);
+    return y ^ (y >> 18);
+}
+
 /* --------------------------------------------------------------- cache */
 
-/* InstructionCache._install on the 2-way geometry: fill a free way,
- * else evict the way other than the set's MRU one. */
+/* The slot of set holding block, or -1. */
+static int64_t cache_find(const Cache *cache, int64_t set, int64_t block)
+{
+    const int64_t base = set * cache->ways, end = base + cache->fill[set];
+    int64_t slot;
+    for (slot = base; slot < end; slot++)
+        if (cache->tags[slot] == block)
+            return slot;
+    return -1;
+}
+
+/* The way of a full set that a fill evicts.  A random draw is
+ * _randbelow(ways): getrandbits(k) with k = ways.bit_length(), that is
+ * the generator's next word shifted right by 32 - k, drawn again while
+ * it is ways or more. */
+static int64_t cache_victim(Cache *cache, int64_t set)
+{
+    const int64_t *stamps = cache->stamps + set * cache->ways;
+    int64_t way, victim = 0;
+    if (cache->policy == POLICY_RANDOM) {
+        do
+            victim = mt_next(&cache->rngs[set]) >> cache->shift;
+        while (victim >= cache->ways);
+        return victim;
+    }
+    for (way = 1; way < cache->ways; way++)
+        if (stamps[way] < stamps[victim])
+            victim = way;
+    return victim;
+}
+
+/* InstructionCache._fill of an absent block: the lowest free way, else
+ * the victim, evicted. */
 static void cache_fill(Cache *cache, int64_t set, int64_t block,
                        uint8_t flag)
 {
-    int64_t slot = 2 * set;
-    if (cache->tags[slot] != EMPTY) {
-        if (cache->tags[slot + 1] != EMPTY) {
-            slot += 1 - cache->mru[set];
-            cache->evictions++;
-            if (cache->flags[slot] == 1)
-                cache->evicted_unused++;
-        } else {
-            slot++;
-        }
+    int64_t slot = set * cache->ways;
+    if (cache->fill[set] < cache->ways) {
+        slot += cache->fill[set]++;
+    } else {
+        slot += cache_victim(cache, set);
+        cache->evictions++;
+        if (cache->flags[slot] == 1)
+            cache->evicted_unused++;
     }
     cache->tags[slot] = block;
     cache->flags[slot] = flag;
-    cache->mru[set] = (uint8_t)(slot & 1);
+    cache->stamps[slot] = ++cache->tick;
 }
 
-/* InstructionCache.access_fast: 0 miss (the block is filled), 1 hit,
- * 2 the first demand hit on a prefetched block.  (The timing loop
- * fills its misses later, but nothing reads the cache in between.) */
+/* InstructionCache.access: 0 miss (the block is filled), 1 hit, 2 the
+ * first demand hit on a prefetched block.  (The timing loop fills its
+ * misses later, but nothing reads the cache in between.) */
 static int cache_access(Cache *cache, int64_t block)
 {
     const int64_t set = py_mod(block, cache->n_sets);
-    int64_t slot = 2 * set;
-    if (cache->tags[slot] != block)
-        slot = cache->tags[slot + 1] == block ? slot + 1 : -1;
+    const int64_t slot = cache_find(cache, set, block);
     if (slot < 0) {
         cache->misses++;
         cache_fill(cache, set, block, 0);
         return 0;
     }
-    if (cache->mru_on_access)
-        cache->mru[set] = (uint8_t)(slot & 1);
+    if (cache->policy == POLICY_LRU)
+        cache->stamps[slot] = ++cache->tick;
     if (cache->flags[slot] == 1) {
         cache->flags[slot] = 3;
         cache->useful++;
@@ -414,11 +534,6 @@ static int cache_access(Cache *cache, int64_t block)
     }
     cache->flags[slot] |= 2;
     return 1;
-}
-
-static int cache_contains(const Cache *cache, int64_t set, int64_t block)
-{
-    return cache->tags[2 * set] == block || cache->tags[2 * set + 1] == block;
 }
 
 /* ----------------------------------------------- discontinuity table */
@@ -649,7 +764,7 @@ static void emit_blocks(Walk *walk, Region region)
     walk->cand_regions++;
 }
 
-/* StreamAddressBuffer._refill_into over HistoryBuffer.read_run. */
+/* StreamAddressBuffer._refill over HistoryBuffer.read_run. */
 static void refill(Walk *walk, Channel *channel, Sab *sab)
 {
     int64_t needed = walk->window - sab->len;
@@ -686,7 +801,7 @@ static int64_t window_slot(const Walk *walk, const Sab *sab, int64_t block)
     return -1;
 }
 
-/* SABFile.advance_into's probe: slide the first matching SAB, refill
+/* SABFile.advance's probe: slide the first matching SAB, refill
  * it and promote it to MRU. */
 static void advance_streams(Walk *walk, Channel *channel, int64_t block)
 {
@@ -713,7 +828,7 @@ static void advance_streams(Walk *walk, Channel *channel, int64_t block)
     channel->stats[CH_WINDOW_ADVANCES]++;
 }
 
-/* SABFile.allocate_into: a new stream at start, replacing the LRU SAB
+/* SABFile.allocate: a new stream at start, replacing the LRU SAB
  * when the file is full. */
 static void allocate_stream(Walk *walk, Channel *channel, int64_t start)
 {
@@ -851,7 +966,7 @@ static void tifs_allocate(Walk *walk, int64_t pointer)
 
 /* ------------------------------------------------- the shared walk */
 
-/* The engine's on_demand_access_into for one access with result code
+/* The engine's on_demand_access for one access with result code
  * code: its candidates into walk->cand, its counters updated. */
 static int predict(Walk *walk, int64_t block, int64_t pc, uint8_t trap,
                    int code)
@@ -950,14 +1065,16 @@ static int predict(Walk *walk, int64_t block, int64_t pc, uint8_t trap,
     return WALK_OK;
 }
 
-/* The retire side of one correct-path access with result code code:
- * PIF's train-plan event at this retire index, if any. */
+/* The train side of one access with result code code, which the walks
+ * call at every correct-path access, or at every access when the plan
+ * is built over the access columns: PIF's train-plan event at this
+ * step, if any. */
 static int train(Walk *walk, int code)
 {
     const Plan *plan = &walk->plan;
     int64_t event = walk->event, key;
     Channel *channel;
-    if (walk->retired++ != walk->next_event)
+    if (walk->step++ != walk->next_event)
         return WALK_OK;
     key = plan->key[event];
     channel = channel_for(walk, key);
@@ -998,7 +1115,9 @@ static void walk_free(Walk *walk)
     free(walk->seen_gen);
     free(walk->cache.tags);
     free(walk->cache.flags);
-    free(walk->cache.mru);
+    free(walk->cache.stamps);
+    free(walk->cache.fill);
+    free(walk->cache.rngs);
     map_free(&walk->table.map);
     free(walk->table.keys);
     free(walk->table.values);
@@ -1015,7 +1134,8 @@ static void walk_free(Walk *walk)
  * walk_free releases. */
 static int walk_init(Walk *walk, const int64_t *config, Plan plan)
 {
-    int64_t max_cand, seen_slots, slot, table_slots;
+    Cache *cache = &walk->cache;
+    int64_t max_cand, seen_slots, slot, slots, table_slots;
     memset(walk, 0, sizeof(*walk));
     walk->config = config;
     walk->engine = (int)config[CFG_ENGINE];
@@ -1026,6 +1146,7 @@ static int walk_init(Walk *walk, const int64_t *config, Plan plan)
     walk->width = walk->preceding + walk->succeeding;
     walk->sab_count = config[CFG_SAB_COUNT];
     walk->window = config[CFG_WINDOW];
+    walk->access_order = config[CFG_ACCESS_ORDER] != 0;
     walk->plan = plan;
     walk->next_event = plan.n ? plan.at[0] : -1;
     walk->window_blocks = config[CFG_WINDOW_BLOCKS];
@@ -1044,18 +1165,33 @@ static int walk_init(Walk *walk, const int64_t *config, Plan plan)
     walk->cand = malloc((size_t)max_cand * sizeof(int64_t));
     walk->seen_keys = malloc((size_t)seen_slots * sizeof(int64_t));
     walk->seen_gen = calloc((size_t)seen_slots, sizeof(uint32_t));
-    walk->cache.n_sets = config[CFG_N_SETS];
-    walk->cache.mru_on_access = config[CFG_MRU_ON_ACCESS] != 0;
-    walk->cache.tags = malloc((size_t)(2 * walk->cache.n_sets)
-                              * sizeof(int64_t));
-    walk->cache.flags = calloc((size_t)(2 * walk->cache.n_sets), 1);
-    walk->cache.mru = calloc((size_t)walk->cache.n_sets, 1);
+    cache->n_sets = config[CFG_N_SETS];
+    cache->ways = config[CFG_WAYS];
+    cache->policy = (int)config[CFG_POLICY];
+    slots = cache->n_sets * cache->ways;
+    cache->tags = malloc((size_t)slots * sizeof(int64_t));
+    cache->flags = malloc((size_t)slots);
+    cache->stamps = malloc((size_t)slots * sizeof(int64_t));
+    cache->fill = calloc((size_t)cache->n_sets, sizeof(int64_t));
     if (walk->cand == NULL || walk->seen_keys == NULL
-            || walk->seen_gen == NULL || walk->cache.tags == NULL
-            || walk->cache.flags == NULL || walk->cache.mru == NULL)
+            || walk->seen_gen == NULL || cache->tags == NULL
+            || cache->flags == NULL || cache->stamps == NULL
+            || cache->fill == NULL)
         return WALK_ENOMEM;
-    for (slot = 0; slot < 2 * walk->cache.n_sets; slot++)
-        walk->cache.tags[slot] = EMPTY;
+    if (cache->policy == POLICY_RANDOM) {
+        /* Every set starts from Random(0), seeded once and copied. */
+        const uint32_t key = 0;
+        int bits = 0;
+        cache->rngs = malloc((size_t)cache->n_sets * sizeof(Mt));
+        if (cache->rngs == NULL)
+            return WALK_ENOMEM;
+        mt_seed(&cache->rngs[0], &key, 1);
+        for (slot = 1; slot < cache->n_sets; slot++)
+            cache->rngs[slot] = cache->rngs[0];
+        while (cache->ways >> bits)
+            bits++;
+        cache->shift = 32 - bits;
+    }
     if (walk->engine == ENGINE_DISCONTINUITY) {
         Lru *table = &walk->table;
         table->capacity = config[CFG_TABLE_ENTRIES];
@@ -1136,11 +1272,13 @@ int walk_lane(int64_t n_access, const int64_t *blocks, const int64_t *pcs,
               const int64_t *event_key, const int64_t *event_trigger,
               const uint8_t *event_survives, const int64_t *event_bits,
               const int64_t *config, int64_t *out_lane,
-              int64_t *out_levels, int64_t *out_channels)
+              int64_t *out_levels, int64_t *out_channels,
+              uint8_t *out_hits)
 {
     const Plan plan = {n_events, event_at, event_key, event_trigger,
                        event_survives, event_bits};
     const int64_t warmup = config[CFG_WARMUP];
+    const int hits = config[CFG_HITS] != 0;
     int64_t requests = 0, fills = 0, drops = 0, remaining = 0;
     int64_t n_levels = 0, level_slot[MAX_KEYS], access, read;
     int status = WALK_ENOMEM;
@@ -1153,6 +1291,8 @@ int walk_lane(int64_t n_access, const int64_t *blocks, const int64_t *pcs,
     for (access = 0; access < n_access; access++) {
         const int64_t block = blocks[access];
         const int code = cache_access(&walk.cache, block);
+        if (hits)
+            out_hits[access] = code != 0;
         if (code == 0 && access >= warmup && !wrong_paths[access]) {
             const uint8_t level = traps[access];
             remaining++;
@@ -1171,14 +1311,16 @@ int walk_lane(int64_t n_access, const int64_t *blocks, const int64_t *pcs,
         for (read = 0; read < walk.n_cand; read++) {
             const int64_t candidate = walk.cand[read];
             const int64_t set = py_mod(candidate, walk.cache.n_sets);
-            if (cache_contains(&walk.cache, set, candidate)) {
+            if (cache_find(&walk.cache, set, candidate) >= 0) {
                 drops++;
                 continue;
             }
             cache_fill(&walk.cache, set, candidate, 1);
             fills++;
         }
-        if (!wrong_paths[access] && train(&walk, code) != WALK_OK)
+        walk.retired += !wrong_paths[access];
+        if ((walk.access_order || !wrong_paths[access])
+                && train(&walk, code) != WALK_OK)
             goto done;
     }
     walk_report(&walk, n_access, out_lane, out_channels);
@@ -1193,9 +1335,9 @@ done:
     return status;
 }
 
-/* _issue_prefetches: one candidate per cycle through the shared port,
- * skipping blocks resident or in flight; *port ends at the last issue
- * cycle. */
+/* The timing loop's issue: one candidate per cycle through the shared
+ * port, skipping blocks resident or in flight; *port ends at the last
+ * issue cycle. */
 static int issue(Walk *walk, Map *in_flight, Map *touched,
                  const double *constants, double now, double *port)
 {
@@ -1205,7 +1347,7 @@ static int issue(Walk *walk, Map *in_flight, Map *touched,
         const int64_t candidate = walk->cand[read];
         const int64_t set = py_mod(candidate, walk->cache.n_sets);
         Value ready;
-        if (cache_contains(&walk->cache, set, candidate)
+        if (cache_find(&walk->cache, set, candidate) >= 0
                 || map_find(in_flight, candidate) >= 0)
             continue;
         issue_at += 1.0;
@@ -1265,7 +1407,9 @@ int walk_timing(int64_t n_access, const int64_t *blocks,
                                code) != WALK_OK
                     || (walk.n_cand
                         && issue(&walk, &in_flight, &touched, constants,
-                                 now, &port) != WALK_OK))
+                                 now, &port) != WALK_OK)
+                    || (walk.access_order
+                        && train(&walk, code) != WALK_OK))
                 goto done;
             continue;
         }
@@ -1306,6 +1450,7 @@ int walk_timing(int64_t n_access, const int64_t *blocks,
             }
         }
         now += stall;
+        walk.retired++;
         if (map_put(&touched, block, none) != WALK_OK
                 || predict(&walk, block, pcs[access], traps[access], code)
                    != WALK_OK

@@ -1,42 +1,39 @@
-"""Specialized no-prefetch baseline replay over raw trace columns.
+"""The no-prefetch baseline replay and its memo.
 
 Every coverage measurement needs the same denominator: the demand
 misses a plain L1-I takes on the access stream with no prefetcher
-attached.  The generic :class:`~repro.cache.icache.InstructionCache`
-computes it faithfully, but through a method call per access that also
-maintains what a baseline never reads (the prefetched/referenced flag
-bytes and the prefetch counters).  Being pure bookkeeping with no
-prefetch interaction, the baseline is the one part of the replay that
-specializes cleanly.
-
-:func:`replay_baseline` walks the columnar access stream once with the
-minimal per-set state each replacement policy actually needs (a recency
-list for LRU, a fill queue for FIFO, a way table plus the per-set
-``Random(0)`` draw sequence for random — matching the cache model's
-policy construction exactly) and records a per-access hit flag.  All
-counting is then vectorized over that flag array: warmup windowing,
-correct-path filtering and per-trap-level miss counts become numpy mask
-reductions (:func:`count_measured_misses`) instead of per-access branch
-work.
+attached.  :func:`replay_baseline` computes it as one engine-less lane
+walk that records a per-access hit flag: the native ``none`` walk of
+``_walk.c`` when the library loads, else the object-model
+:class:`~repro.cache.icache.InstructionCache` driven access by access.
+All counting is then vectorized over that flag array: warmup
+windowing, correct-path filtering and per-trap-level miss counts become
+numpy mask reductions (:func:`count_measured_misses`) instead of
+per-access branch work.
 
 The contract is bit-identical results: the hit flags, the
 :class:`~repro.cache.stats.CacheStats` counters, and the derived miss
-counts all equal what an ``InstructionCache`` walk over the object view
-produces (``tests/sim/test_baseline.py`` locks this against the real
-cache model).
+counts are what an ``InstructionCache`` walk over the access stream
+produces, with the library and without it (``tests/sim/test_baseline.py``
+locks both).
 """
 
 from __future__ import annotations
 
-import random
+import functools
+import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..cache.icache import InstructionCache
 from ..cache.stats import CacheStats
 from ..common.config import CacheConfig
+from ..prefetch.base import NullPrefetcher
 from ..trace.bundle import TraceBundle
+from . import native
 
 
 @dataclass(slots=True)
@@ -49,73 +46,6 @@ class BaselineReplay:
     stats: CacheStats
 
 
-# reprolint: hot
-def _replay_lru(blocks: List[int], n_sets: int, ways: int,
-                hits: np.ndarray) -> int:
-    """LRU replay; returns the eviction count and fills ``hits``."""
-    sets: List[List[int]] = [[] for _ in range(n_sets)]
-    evictions = 0
-    for position, block in enumerate(blocks):
-        lines = sets[block % n_sets]
-        if block in lines:
-            hits[position] = True
-            if lines[-1] != block:
-                lines.remove(block)
-                lines.append(block)
-        else:
-            if len(lines) == ways:
-                del lines[0]
-                evictions += 1
-            lines.append(block)
-    return evictions
-
-
-# reprolint: hot
-def _replay_fifo(blocks: List[int], n_sets: int, ways: int,
-                 hits: np.ndarray) -> int:
-    """FIFO replay: hits do not promote; victim is the oldest fill."""
-    sets: List[List[int]] = [[] for _ in range(n_sets)]
-    evictions = 0
-    for position, block in enumerate(blocks):
-        lines = sets[block % n_sets]
-        if block in lines:
-            hits[position] = True
-        else:
-            if len(lines) == ways:
-                del lines[0]
-                evictions += 1
-            lines.append(block)
-    return evictions
-
-
-# reprolint: hot
-def _replay_random(blocks: List[int], n_sets: int, ways: int,
-                   hits: np.ndarray) -> int:
-    """Random replay, reproducing the cache model's draw sequence.
-
-    The cache model gives each set an independent ``Random(0)`` and
-    fills free ways lowest-index first.  Both details are replicated so
-    the victim sequence — and therefore every hit flag — matches.
-    """
-    way_blocks: List[List[Optional[int]]] = [[None] * ways
-                                             for _ in range(n_sets)]
-    rngs = [random.Random(0) for _ in range(n_sets)]
-    evictions = 0
-    for position, block in enumerate(blocks):
-        index = block % n_sets
-        slots = way_blocks[index]
-        if block in slots:
-            hits[position] = True
-        else:
-            try:
-                way = slots.index(None)
-            except ValueError:
-                way = rngs[index].randrange(ways)
-                evictions += 1
-            slots[way] = block
-    return evictions
-
-
 def replay_baseline(bundle: TraceBundle,
                     config: Optional[CacheConfig] = None) -> BaselineReplay:
     """Replay ``bundle``'s access stream through a no-prefetch cache.
@@ -123,25 +53,36 @@ def replay_baseline(bundle: TraceBundle,
     Bit-identical to driving :class:`~repro.cache.icache.InstructionCache`
     over every access: same hit flags, same counters.
     """
+    from .engine import (
+        _NATIVE_KEYS,
+        _NATIVE_OUT,
+        _native_inputs,
+        _native_outputs,
+    )
+
     cache_config = config if config is not None else CacheConfig()
-    blocks = bundle.access_block.tolist()
-    hits = np.zeros(len(blocks), dtype=np.bool_)
-    n_sets, ways = cache_config.n_sets, cache_config.associativity
-    if cache_config.replacement == "lru":
-        evictions = _replay_lru(blocks, n_sets, ways, hits)
-    elif cache_config.replacement == "fifo":
-        evictions = _replay_fifo(blocks, n_sets, ways, hits)
-    elif cache_config.replacement == "random":
-        evictions = _replay_random(blocks, n_sets, ways, hits)
-    else:
-        raise ValueError(
-            f"unknown replacement policy {cache_config.replacement!r}")
-    stats = CacheStats()
-    stats.demand_accesses = len(blocks)
-    stats.demand_hits = int(np.count_nonzero(hits))
-    stats.demand_misses = stats.demand_accesses - stats.demand_hits
-    stats.evictions = evictions
-    return BaselineReplay(hits=hits, stats=stats)
+    blocks = bundle.access_block
+    inputs = _native_inputs(NullPrefetcher(), cache_config, bundle, 0,
+                            hits=True)
+    if inputs is None:
+        cache = InstructionCache(cache_config)
+        hits = np.fromiter((cache.access(block).hit
+                            for block in blocks.tolist()),
+                           dtype=np.bool_, count=len(blocks))
+        return BaselineReplay(hits=hits, stats=cache.stats)
+    library, arguments = inputs
+    out_lane, out_channels = _native_outputs()
+    hits = np.zeros(len(blocks), dtype=np.uint8)
+    if library.walk_lane(*arguments, out_lane,
+                         np.zeros(2 * _NATIVE_KEYS, dtype=np.int64),
+                         out_channels, hits):
+        raise MemoryError("native baseline walk ran out of memory")
+    counts = dict(zip(_NATIVE_OUT, out_lane.tolist()))
+    stats = CacheStats(demand_accesses=counts["demand_accesses"],
+                       demand_hits=counts["demand_hits"],
+                       demand_misses=counts["demand_misses"],
+                       evictions=counts["evictions"])
+    return BaselineReplay(hits=hits.view(np.bool_), stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +147,33 @@ class MeasuredBaseline:
                    evictions=int(payload["evictions"]))
 
 
-_derivation_hash_cache: Optional[str] = None
+#: The object-model cache files the replay runs without a compiler.
+_CACHE_SOURCES = ("icache.py", "replacement.py")
 
 
 def baseline_derivation_hash() -> str:
-    """Short digest over this module's source — the replay semantics.
+    """Short digest over the sources a replay runs in — this module,
+    the native walk (:data:`repro.sim.native.SOURCE`) and the
+    object-model cache and replacement policies.
 
     Folded into every memo key so *persisted* entries (the sweep
     sidecar) can never outlive the algorithm that derived them: editing
-    the replay code changes the key and stale sidecar lines silently
+    any of those files changes the key and stale sidecar lines silently
     stop matching, exactly like the trace store's generator-version
     hash.
     """
-    global _derivation_hash_cache
-    if _derivation_hash_cache is None:
-        import hashlib
-        from pathlib import Path
+    cache = Path(__file__).resolve().parent.parent / "cache"
+    return _digest((Path(__file__), native.SOURCE,
+                    *(cache / name for name in _CACHE_SOURCES)))
 
-        _derivation_hash_cache = hashlib.sha256(
-            Path(__file__).read_bytes()).hexdigest()[:8]
-    return _derivation_hash_cache
+
+@functools.lru_cache(maxsize=None)
+def _digest(sources: Tuple[Path, ...]) -> str:
+    digest = hashlib.sha256()
+    for source in sources:
+        digest.update(source.read_bytes())
+        digest.update(b"\x00")
+    return digest.hexdigest()[:8]
 
 
 def baseline_memo_key(content_hash: str, config: CacheConfig,

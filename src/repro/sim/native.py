@@ -1,15 +1,17 @@
 """Build and load the native lane and timing walks (``_walk.c``).
 
-The fast kernel walks exact-type engines on the paper's 2-way cache --
-none, next-line, stride, discontinuity, TIFS and PIF -- through a plain-C99
-library called with :mod:`ctypes`: one entry point for the lane walk
-(:func:`repro.sim.engine._walk_lane_native`) and one for the timing walk
-(:func:`repro.sim.timing._run_timing_native`).  This module compiles
+The native plane walks exact-type engines -- none, next-line, stride,
+discontinuity, TIFS, PIF and its fetch-order variant -- on a cache of
+any associativity with LRU, FIFO or random replacement, through a
+plain-C99 library called with :mod:`ctypes`: one entry point for the
+lane walk (:func:`repro.sim.engine._walk_lane_native`, and the
+no-prefetch baseline replay, :func:`repro.sim.baseline.replay_baseline`)
+and one for the timing walk (:func:`repro.sim.timing._run_timing_native`).  This module compiles
 it on the first native walk of a process -- never at import -- with the
 interpreter's configured C compiler: ``sysconfig``'s ``CC``, replaced
 by the ``CC`` environment variable when set, as setuptools does.  No
 ``-march=native``: one cache directory may serve several CPUs.  The
-timing walk returns doubles that must equal the Python loop's, so the
+timing walk returns doubles that must equal the reference loop's, so the
 flags turn floating-point contraction off (no fused multiply-add).
 
 The library lives in the user cache, not the trace store (a fresh
@@ -27,10 +29,9 @@ library whose trailer does not verify (truncated, overwritten) is
 deleted and rebuilt.
 
 When no library can be built or loaded, :func:`load` warns once per
-process with a :class:`RuntimeWarning` and returns None, and every lane
-and timing walk takes the Python walkers (``_walk_lane_inline2`` and
-``_run_timing_fast``): the same results, at roughly 20-45x the cost per
-access.
+process with a :class:`RuntimeWarning` and returns None, and every lane,
+timing and baseline walk takes the reference walk (the object model):
+the same results, at roughly 50-90x the cost per access.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _declare(library):
         i64,   # config
     ]
     library.walk_lane.argtypes = [
-        *inputs, i64, i64, i64]   # out_lane, out_levels, out_channels
+        *inputs, i64, i64, i64, u8]   # out_lane, out_levels, out_channels, out_hits
     library.walk_timing.argtypes = [
         *inputs, f64, i64, i64, f64]   # constants, out_lane, out_channels, out_timing
     library.walk_lane.restype = library.walk_timing.restype = ctypes.c_int
@@ -160,6 +161,6 @@ def load():
         return _declare(ctypes.CDLL(str(path)))
     except (OSError, NativeBuildError) as exc:
         warnings.warn(f"native walk unavailable, lanes and timings take "
-                      f"the Python walkers: {exc}", RuntimeWarning,
+                      f"the reference walk: {exc}", RuntimeWarning,
                       stacklevel=2)
         return None

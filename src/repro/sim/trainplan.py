@@ -24,12 +24,18 @@ records, per retire index, what the training side will do there:
   captured tagged flag) to the history and, when tagged, insert the
   index entry.
 
+The fetch-order PIF of the record-source ablation
+(:class:`~repro.core.pif.AccessOrderPIF`) feeds the same compactors
+from the access columns — every fetch, wrong path included — so its
+plan is built over those (``source="access"``), one step per access.
+
 The native lane and timing walks (``_walk.c``, driven by
 :func:`repro.sim.engine._walk_lane_native` and
 :func:`repro.sim.timing._run_timing_native`) replay the plan's five
-columns with a cursor, so per retire record the training side costs one
-integer comparison.  Bit-identity with the reference ``on_retire`` path
-is locked by ``tests/sim/test_engine.py`` (PIF rides the standard
+columns with a cursor, so per train step the training side costs one
+integer comparison.  Bit-identity with the reference walk's
+``on_retire`` (or, fetch-order, ``on_demand_access``) training is
+locked by ``tests/sim/test_engine.py`` (PIF rides the standard
 kernel-differential matrix), the Hypothesis differential in
 ``tests/sim/test_native.py`` and ``tests/sim/test_trainplan.py``.
 
@@ -167,9 +173,11 @@ def build_train_plan(retire_pcs: List[int], retire_traps: List[int],
 
 def train_plan_for(bundle: TraceBundle, geometry: RegionGeometry,
                    block_bytes: int, separate_trap_levels: bool,
-                   temporal_entries: int) -> PIFTrainPlan:
+                   temporal_entries: int,
+                   source: str = "retire") -> PIFTrainPlan:
     """The (memoized) train plan of ``bundle`` for one training
-    configuration.
+    configuration, over the retire columns or (``source="access"``)
+    the access columns.
 
     Lookup order: the bundle's derived-value cache (all lanes, shards,
     and sweep points replaying this trace in one process share a single
@@ -177,7 +185,7 @@ def train_plan_for(bundle: TraceBundle, geometry: RegionGeometry,
     across processes and runs skip the pass entirely), then a fresh
     build — which is persisted back to the sidecar.
     """
-    params = (geometry.preceding, geometry.succeeding, block_bytes,
+    params = (source, geometry.preceding, geometry.succeeding, block_bytes,
               separate_trap_levels, temporal_entries)
     cache_key = ("pif-train-plan",) + params
     derived = bundle.derived_cache()
@@ -185,10 +193,12 @@ def train_plan_for(bundle: TraceBundle, geometry: RegionGeometry,
     if plan is None:
         plan = _load_sidecar(bundle, params)
     if plan is None:
-        _, _, _, _, retire_pcs, retire_traps = bundle.decoded_columns()
-        plan = build_train_plan(retire_pcs, retire_traps, geometry,
-                                block_bytes, separate_trap_levels,
-                                temporal_entries)
+        _, access_pcs, access_traps, _, retire_pcs, retire_traps = \
+            bundle.decoded_columns()
+        pcs, traps = ((access_pcs, access_traps) if source == "access"
+                      else (retire_pcs, retire_traps))
+        plan = build_train_plan(pcs, traps, geometry, block_bytes,
+                                separate_trap_levels, temporal_entries)
         _save_sidecar(bundle, params, plan)
     derived[cache_key] = plan
     return plan
@@ -197,13 +207,13 @@ def train_plan_for(bundle: TraceBundle, geometry: RegionGeometry,
 # ---------------------------------------------------------------------------
 # On-disk plan sidecar (under the trace store's ``plans/`` directory).
 #
-# Plans are pure derivations of the retire columns, so they are keyed by
-# the bundle's *content hash* plus the training parameters — no
-# generator-version stamp is needed (a regenerated trace has a new
-# content hash, and identical content yields an identical plan).  The
-# five columns are persisted as a compressed ``.npz`` and loaded as
-# they are; any unreadable or shape-inconsistent sidecar is deleted and
-# treated as a miss.
+# Plans are pure derivations of the trace columns, so they are keyed by
+# the bundle's *content hash* plus the source and the training
+# parameters — no generator-version stamp is needed (a regenerated
+# trace has a new content hash, and identical content yields an
+# identical plan).  The five columns are persisted as a compressed
+# ``.npz`` and loaded as they are; any unreadable or shape-inconsistent
+# sidecar is deleted and treated as a miss.
 # ``repro traces gc --all`` clears the directory (see trace/store.py).
 
 #: Subdirectory of the trace store root holding plan sidecars.
@@ -239,7 +249,7 @@ def _plan_path(bundle: TraceBundle, params: tuple):
     packed (``bits`` must fit an int64)."""
     from ..trace.store import TraceStore
 
-    preceding, succeeding = params[0], params[1]
+    preceding, succeeding = params[1], params[2]
     if preceding + succeeding > 62:
         return None
     store = TraceStore.from_env()

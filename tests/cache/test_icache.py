@@ -156,74 +156,3 @@ def test_occupancy_never_exceeds_geometry(blocks):
     for block in blocks:
         cache.access(block)
         assert len(cache.resident_blocks()) <= 4
-
-
-# ----------------------------------------------------------------------
-# Differential lock: the flat-array kernel vs the preserved object model.
-
-_OPS = st.lists(
-    st.tuples(st.sampled_from(["access", "access_nofill", "prefetch",
-                               "fill", "fill_pf", "invalidate", "contains"]),
-              st.integers(min_value=-4, max_value=59)),
-    max_size=400)
-
-
-@settings(max_examples=40, deadline=None)
-@given(_OPS,
-       st.sampled_from(["lru", "fifo", "random"]),
-       st.sampled_from([(2, 1), (4, 2), (2, 4), (8, 2)]))
-def test_flat_kernel_matches_reference_cache(ops, replacement, geometry):
-    """Every operation returns the same outcome on the flat kernel and
-    on :class:`ReferenceInstructionCache`, and the final state (resident
-    blocks, all counters) is identical — for every replacement policy
-    and associativity, negative block addresses included."""
-    from repro.cache.reference import ReferenceInstructionCache
-
-    sets, ways = geometry
-    config = CacheConfig(capacity_bytes=sets * ways * 64,
-                         associativity=ways, replacement=replacement)
-    fast = InstructionCache(config)
-    reference = ReferenceInstructionCache(config)
-    for op, block in ops:
-        if op == "access":
-            assert fast.access_fast(block) == reference.access_fast(block)
-        elif op == "access_nofill":
-            assert fast.access_fast(block, False) == \
-                reference.access_fast(block, False)
-        elif op == "prefetch":
-            assert fast.prefetch(block) == reference.prefetch(block)
-        elif op == "fill":
-            assert fast.fill(block) == reference.fill(block)
-        elif op == "fill_pf":
-            assert fast.fill(block, prefetched=True) == \
-                reference.fill(block, prefetched=True)
-        elif op == "invalidate":
-            assert fast.invalidate(block) == reference.invalidate(block)
-        else:
-            assert fast.contains(block) == reference.contains(block)
-    assert sorted(fast.resident_blocks()) == \
-        sorted(reference.resident_blocks())
-    assert fast.stats == reference.stats
-
-
-class TestResultCodes:
-    """access_fast's int encoding of the AccessResult semantics."""
-
-    def test_miss_hit_prefetched_codes(self):
-        from repro.cache.icache import HIT, HIT_PREFETCHED, MISS
-
-        cache = tiny_cache()
-        assert cache.access_fast(3) == MISS
-        assert cache.access_fast(3) == HIT
-        cache.prefetch(7)
-        assert cache.access_fast(7) == HIT_PREFETCHED
-        assert cache.access_fast(7) == HIT  # referenced: tag consumed
-
-    def test_codes_agree_with_access_results(self):
-        cache_codes = tiny_cache()
-        cache_objects = tiny_cache()
-        for block in (1, 1, 2, 3, 4, 1, 2, 5, 5):
-            code = cache_codes.access_fast(block)
-            result = cache_objects.access(block)
-            assert (code != 0) == result.hit
-            assert (code == 2) == result.was_prefetched

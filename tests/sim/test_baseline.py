@@ -1,23 +1,32 @@
-"""Vectorized baseline replay: bit-identical to the real cache model."""
+"""Baseline replay: bit-identical to the real cache model, through the
+native walk and without it."""
 
 import numpy as np
 import pytest
 
 from repro.cache.icache import InstructionCache
 from repro.common.config import CacheConfig
-from repro.sim.baseline import count_measured_misses, replay_baseline
+from repro.sim import native
+from repro.sim.baseline import (
+    baseline_memo_key,
+    count_measured_misses,
+    replay_baseline,
+)
 
+#: lru, fifo and random at 1, 2 and 4 ways (2-way names are bare).
 CONFIGS = {
-    "lru": CacheConfig(capacity_bytes=16 * 1024, associativity=2,
-                       replacement="lru"),
-    "fifo": CacheConfig(capacity_bytes=16 * 1024, associativity=2,
-                        replacement="fifo"),
-    "random": CacheConfig(capacity_bytes=16 * 1024, associativity=2,
-                          replacement="random"),
-    "lru-4way": CacheConfig(capacity_bytes=16 * 1024, associativity=4,
-                            replacement="lru"),
+    **{replacement: CacheConfig(capacity_bytes=16 * 1024, associativity=2,
+                                replacement=replacement)
+       for replacement in ("lru", "fifo", "random")},
+    **{f"{replacement}-4way": CacheConfig(capacity_bytes=16 * 1024,
+                                          associativity=4,
+                                          replacement=replacement)
+       for replacement in ("lru", "fifo", "random")},
     "direct-mapped": CacheConfig(capacity_bytes=16 * 1024, associativity=1,
                                  replacement="lru"),
+    **{f"{replacement}-direct-mapped": CacheConfig(
+        capacity_bytes=16 * 1024, associativity=1, replacement=replacement)
+       for replacement in ("fifo", "random")},
 }
 
 
@@ -30,23 +39,53 @@ def reference_replay(bundle, config):
     return hits, cache.stats
 
 
+def both_loaders(monkeypatch):
+    """Yield True with the library loaded (when it builds), then False
+    with the loader forced to None."""
+    if native.load() is not None:
+        yield True
+    with monkeypatch.context() as patch:
+        patch.setattr(native, "load", lambda: None)
+        yield False
+
+
 class TestReplayEquivalence:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_hit_flags_and_stats_match_cache_model(self, oltp_trace, name):
+    def test_hit_flags_and_stats_match_cache_model(self, oltp_trace, name,
+                                                   monkeypatch):
         config = CONFIGS[name]
         bundle = oltp_trace.bundle
         expected_hits, expected_stats = reference_replay(bundle, config)
-        replay = replay_baseline(bundle, config)
-        assert np.array_equal(replay.hits, expected_hits)
-        assert replay.stats == expected_stats
+        for _ in both_loaders(monkeypatch):
+            replay = replay_baseline(bundle, config)
+            assert replay.hits.dtype == np.bool_
+            assert np.array_equal(replay.hits, expected_hits)
+            assert replay.stats == expected_stats
 
-    def test_second_workload_lru(self, web_trace, test_cache_config):
+    def test_second_workload_lru(self, web_trace, test_cache_config,
+                                 monkeypatch):
         bundle = web_trace.bundle
         expected_hits, expected_stats = reference_replay(bundle,
                                                          test_cache_config)
-        replay = replay_baseline(bundle, test_cache_config)
-        assert np.array_equal(replay.hits, expected_hits)
-        assert replay.stats == expected_stats
+        for _ in both_loaders(monkeypatch):
+            replay = replay_baseline(bundle, test_cache_config)
+            assert np.array_equal(replay.hits, expected_hits)
+            assert replay.stats == expected_stats
+
+
+def test_memo_key_covers_the_native_walk(tmp_path, monkeypatch):
+    """A persisted baseline must not outlive the walk that replayed it:
+    the memo key moves with the bytes of ``_walk.c``."""
+    config = CONFIGS["lru"]
+    key = baseline_memo_key("content", config, 0.25)
+    same = tmp_path / "same.c"
+    same.write_bytes(native.SOURCE.read_bytes())
+    edited = tmp_path / "edited.c"
+    edited.write_bytes(native.SOURCE.read_bytes() + b"/* edited */\n")
+    monkeypatch.setattr(native, "SOURCE", same)
+    assert baseline_memo_key("content", config, 0.25) == key
+    monkeypatch.setattr(native, "SOURCE", edited)
+    assert baseline_memo_key("content", config, 0.25) != key
 
 
 class TestMeasuredMissCounting:

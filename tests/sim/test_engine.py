@@ -101,17 +101,16 @@ class TestValidation:
 
 
 # ----------------------------------------------------------------------
-# Kernel differential locks: fast (flat-array walkers, fused engines)
+# Kernel differential locks: fast (the native walk where it applies)
 # vs reference (object-model cache + list protocol) must be
 # bit-identical for every prefetcher and replacement policy.
 
 from repro.core.pif import AccessOrderPIF  # noqa: E402
 from repro.sim.engine import resolve_kernel  # noqa: E402
 
-#: Every engine shape the fast kernel specializes or falls back on: the
-#: native walk (none, both next-line triggers, stride, discontinuity,
-#: pif), the hook-driven inline walker (tifs), and the subclass fallback
-#: (AccessOrderPIF must NOT take the native walk).
+#: Every engine type of the native walk: none, both next-line
+#: triggers, stride, discontinuity, tifs, pif with and without
+#: trap-level separation, and the fetch-order pif.
 ALL_ENGINES = ("pif", "pif-no-tlsep", "next-line", "next-line-miss",
                "stride", "discontinuity", "tifs", "none")
 
@@ -156,14 +155,15 @@ class TestKernelEquivalence:
             assert ref_engine.stats == fast_engine.stats, ref_engine.name
 
     @pytest.mark.parametrize("native_walk", ["native", "python"])
-    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "random"])
     def test_pif_lanes_with_and_without_native(self, oltp_trace,
                                                monkeypatch, replacement,
                                                native_walk):
-        """PIF lanes vs the reference, once through the native lane walk
-        and once with the loader returning None (the hook walker):
-        lane results, prefetch stats, channel stats and the compactor,
-        index and SAB-file counters all bit-identical."""
+        """PIF lanes, retire-order and fetch-order, vs the reference,
+        once through the native lane walk and once with the loader
+        returning None (the reference walk): lane results, prefetch
+        stats, channel stats and the compactor, index and SAB-file
+        counters all bit-identical."""
         from repro.sim import native
 
         if native_walk == "python":
@@ -178,7 +178,8 @@ class TestKernelEquivalence:
                     ProactiveInstructionFetch(unbounded_index=True),
                     ProactiveInstructionFetch(PIFConfig(
                         sab_count=1, history_entries=256, index_entries=64,
-                        temporal_compactor_entries=0))]
+                        temporal_compactor_entries=0)),
+                    AccessOrderPIF(PIFConfig(sab_window_regions=3))]
 
         def state(engine):
             return (engine.stats, [
@@ -205,18 +206,25 @@ class TestKernelEquivalence:
                              [(1, 8 * 1024), (4, 16 * 1024)])
     def test_generic_walker_geometries(self, oltp_trace, associativity,
                                        capacity):
-        """Non-2-way geometries take the generic (non-inlined) walker
-        and must still match the reference exactly."""
+        """Non-2-way geometries walk natively too (when the library
+        loads) and must still match the reference exactly."""
+        from repro.sim import native
+
         config = CacheConfig(capacity_bytes=capacity,
                              associativity=associativity)
         ref = run_multi_prefetch_simulation(
             oltp_trace.bundle, build_matrix_engines(), cache_config=config,
             warmup_fraction=0.4, kernel="reference")
+        fast_engines = build_matrix_engines()
         fast = run_multi_prefetch_simulation(
-            oltp_trace.bundle, build_matrix_engines(), cache_config=config,
+            oltp_trace.bundle, fast_engines, cache_config=config,
             warmup_fraction=0.4, kernel="fast")
         for ref_result, fast_result in zip(ref, fast):
             assert_full_lane_identity(ref_result, fast_result)
+        if native.load() is not None:
+            for engine in fast_engines:
+                assert engine.walked_natively == (engine.name != "none"), \
+                    engine.name
 
     def test_kernel_resolution(self):
         assert resolve_kernel(None) == "fast"
@@ -233,53 +241,43 @@ class TestKernelEquivalence:
 
 
 class TestWalkerSelection:
-    """The fast kernel picks the right specialized walker per lane."""
+    """The fast kernel walks natively every exact type of the native
+    table, on every geometry and policy, and nothing else."""
 
-    def test_fused_and_fallback_selection(self):
-        from repro.cache.icache import InstructionCache
-        from repro.sim.engine import (
-            _NATIVE_ENGINES,
-            _Lane,
-            _select_walker,
-            _walk_lane_generic,
-            _walk_lane_inline2,
-            _walk_lane_native,
-        )
+    def test_fused_and_fallback_selection(self, oltp_trace, monkeypatch):
+        from repro.prefetch.nextline import NextLinePrefetcher
+        from repro.sim import native
+        from repro.sim.engine import _NATIVE_ENGINES, _native_inputs
 
-        def lane_for(prefetcher, config=CACHE):
-            return _Lane(prefetcher, InstructionCache(config), None)
+        if native.load() is None:
+            pytest.skip("native walk unavailable (no working C compiler)")
+        monkeypatch.setenv("REPRO_TRACE_STORE", "off")
+        bundle = oltp_trace.bundle
+        engines = build_matrix_engines()
+        assert {type(engine) for engine in engines} == set(_NATIVE_ENGINES)
+        for config in (CACHE,
+                       CacheConfig(capacity_bytes=16 * 1024,
+                                   associativity=4),
+                       CacheConfig(capacity_bytes=16 * 1024,
+                                   associativity=2, replacement="random"),
+                       CacheConfig(capacity_bytes=8 * 1024,
+                                   associativity=1, replacement="fifo")):
+            for engine in engines:
+                assert _native_inputs(engine, config, bundle, 0) \
+                    is not None, (engine.name, config)
 
-        # Exact engine types of the native table take the native walk.
-        for name in ("none", "next-line", "next-line-miss", "stride",
-                     "discontinuity", "tifs"):
-            assert _select_walker(lane_for(make_prefetcher(name))) is \
-                _walk_lane_native, name
-        assert _select_walker(lane_for(build_engine("pif"))) is \
-            _walk_lane_native
-        # Subclasses must not inherit the native walk (AccessOrderPIF
-        # must fall back to the hook-driven walker, not replay the
-        # retire-order train plan).
-        assert AccessOrderPIF not in _NATIVE_ENGINES
-        assert _select_walker(lane_for(
-            AccessOrderPIF(PIFConfig(sab_window_regions=3)))) is \
-            _walk_lane_inline2
-        # Non-2-way and random policies fall back to the generic walker.
-        four_way = CacheConfig(capacity_bytes=16 * 1024, associativity=4)
-        assert _select_walker(
-            lane_for(make_prefetcher("next-line"), four_way)) is \
-            _walk_lane_generic
-        rand = CacheConfig(capacity_bytes=16 * 1024, associativity=2,
-                           replacement="random")
-        assert _select_walker(
-            lane_for(make_prefetcher("next-line"), rand)) is \
-            _walk_lane_generic
+        # A subclass may change behaviour: it takes the reference walk.
+        class Renamed(NextLinePrefetcher):
+            pass
+
+        assert Renamed not in _NATIVE_ENGINES
+        assert _native_inputs(Renamed(), CACHE, bundle, 0) is None
 
 
 class TestListApiOverrides:
-    """A subclass that overrides only the list-returning hook of a
-    native-``_into`` engine must still be honored by the fast kernel
-    (the hook resolver bridges it instead of binding the inherited
-    native ``on_demand_access_into``)."""
+    """A subclass that overrides the hook of a native engine type must
+    be honored by the fast kernel (it takes the reference walk instead
+    of the native walk of its base type)."""
 
     def test_subclass_filter_is_honored(self, oltp_trace):
         from repro.prefetch.nextline import NextLinePrefetcher
@@ -308,24 +306,3 @@ class TestListApiOverrides:
         assert fast.remaining_misses == reference.remaining_misses
         assert fast.cache_stats == reference.cache_stats
         assert fast.prefetches_issued < plain.prefetches_issued
-
-    def test_hook_resolver_directions(self):
-        from repro.prefetch.base import demand_access_hook
-        from repro.prefetch.stride import StridePrefetcher
-
-        native = StridePrefetcher()
-        assert demand_access_hook(native) == native.on_demand_access_into
-
-        class Filtered(StridePrefetcher):
-            def on_demand_access(self, block, pc, trap_level, hit,
-                                 was_prefetched):
-                return []
-
-        bridged = demand_access_hook(Filtered())
-        out = []
-        assert bridged(1, 64, 0, False, False, out) == 0
-
-        # An _into-only subclass keeps its native hook (AccessOrderPIF
-        # pattern).
-        engine = AccessOrderPIF(PIFConfig(sab_window_regions=3))
-        assert demand_access_hook(engine) == engine.on_demand_access_into

@@ -1,5 +1,5 @@
 """Native lane and timing walks: differential lock against the
-reference kernel on paths the trace fixtures never reach, the
+reference walk on paths the trace fixtures never reach, the
 engine-state contract, and the loader (build on first use, fallback,
 cache key, self-heal, concurrent builds)."""
 
@@ -17,15 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.icache import InstructionCache
 from repro.common.addressing import RegionGeometry
 from repro.common.config import CacheConfig, PIFConfig, SystemConfig
-from repro.core.pif import ProactiveInstructionFetch
+from repro.core.pif import AccessOrderPIF, ProactiveInstructionFetch
 from repro.prefetch.base import NullPrefetcher
 from repro.prefetch.discontinuity import DiscontinuityPrefetcher
 from repro.prefetch.nextline import NextLinePrefetcher
 from repro.prefetch.stride import StridePrefetcher
 from repro.prefetch.tifs import TIFSPrefetcher
 from repro.sim import native
+from repro.sim.baseline import replay_baseline
 from repro.sim.engine import run_multi_prefetch_simulation
 from repro.sim.timing import run_timing_simulation
 from repro.sim.trainplan import PIFTrainPlan, train_plan_for
@@ -49,7 +51,7 @@ def native_library():
     library = native.load()
     if library is None:
         pytest.skip("native walk unavailable (no working C compiler); "
-                    "the hook walkers cover every lane and timing")
+                    "the reference walk covers every lane and timing")
     return library
 
 
@@ -111,13 +113,16 @@ def time_both(bundle, make_engine, config=CACHE, warmup=0.4,
 
 # ----------------------------------------------------------------------
 # Hypothesis differential: every native engine in the lane walk, the
-# timing walk and the timing walk with a perfect L1-I, under LRU and
-# FIFO.  The small synthetic traces drive stride candidates below block
-# 0 and through every set, and fill and evict 1-64-entry discontinuity
-# tables.  For PIF they wrap a 64-entry history (SAB pointers
-# overwritten), evict from a 2-8-entry index, and cover the unbounded
-# index, merged trap levels, no temporal compaction, region geometries
-# from (0, 0) to 62 bits, and 1 or 8 SABs of 1 or 7 regions.  For TIFS
+# timing walk and the timing walk with a perfect L1-I, on caches of 1,
+# 2, 3, 4 or 8 ways and 1 to 256 sets under LRU, FIFO and random
+# replacement.  The small synthetic traces drive stride candidates
+# below block 0 and through every set, and fill and evict 1-64-entry
+# discontinuity tables.  For PIF, retire-order and fetch-order, they
+# wrap a 64-entry history (SAB pointers overwritten), evict from a
+# 2-8-entry index, and cover the unbounded index, merged trap levels,
+# no temporal compaction, region geometries from (0, 0) to 62 bits,
+# and 1 or 8 SABs of 1 or 7 regions; the fetch-order PIF also trains
+# on wrong-path fetches.  For TIFS
 # they wrap a 4-64-block miss log under live stream pointers, evict
 # from an 8-64-entry index (or use the unbounded one), and run 1-4
 # streams of 1-12-block windows: streams whose refill comes back empty
@@ -182,7 +187,8 @@ _indexes = st.sampled_from([(2, 1), (2, 2), (4, 2), (4, 4), (6, 2),
 def engine_makers(draw):
     """A maker of fresh engines of one drawn type and configuration."""
     kind = draw(st.sampled_from(["none", "next-line", "stride",
-                                 "discontinuity", "tifs", "pif"]))
+                                 "discontinuity", "tifs", "pif",
+                                 "pif-access-order"]))
     if kind == "none":
         return NullPrefetcher
     if kind == "next-line":
@@ -209,20 +215,23 @@ def engine_makers(draw):
         sab_window_regions=draw(st.sampled_from([1, 7])),
         temporal_compactor_entries=draw(st.sampled_from([0, 4])))
     separate, unbounded = draw(st.booleans()), draw(st.booleans())
-    return lambda: ProactiveInstructionFetch(
+    engine_class = (AccessOrderPIF if kind == "pif-access-order"
+                    else ProactiveInstructionFetch)
+    return lambda: engine_class(
         config, separate_trap_levels=separate, unbounded_index=unbounded)
 
 
 @settings(max_examples=300, deadline=None)
 @given(bundle=synthetic_bundles(), make_engine=engine_makers(),
        mode=st.sampled_from(["lane", "timing", "perfect"]),
-       replacement=st.sampled_from(["lru", "fifo"]),
-       capacity=st.sampled_from([1024, 2048, 32768]),
+       replacement=st.sampled_from(["lru", "fifo", "random"]),
+       ways=st.sampled_from([1, 2, 3, 4, 8]),
+       sets=st.sampled_from([1, 8, 16, 256]),
        warmup=st.sampled_from([0.0, 0.3]))
 def test_native_matches_reference(native_library, bundle, make_engine, mode,
-                                  replacement, capacity, warmup):
-    config = CacheConfig(capacity_bytes=capacity, associativity=2,
-                         replacement=replacement)
+                                  replacement, ways, sets, warmup):
+    config = CacheConfig(capacity_bytes=sets * ways * 64,
+                         associativity=ways, replacement=replacement)
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_TRACE_STORE", "off")
         if mode == "lane":
@@ -274,6 +283,29 @@ def test_tifs_traps(native_library, monkeypatch, trap):
                      config=config, warmup=0.0).walked_natively
 
 
+@pytest.mark.parametrize("ways", range(1, 9))
+def test_random_victims_match_the_object_model(native_library, monkeypatch,
+                                               ways):
+    """A one-set random-replacement cache evicting on most accesses:
+    the native walk's victims are the object model's per-set
+    ``Random(0).randrange(ways)`` draws, so the hit flags and the
+    counters agree over more than 10,000 evictions.  Each draw takes
+    ``ways.bit_length()`` bits, which can name a way that does not
+    exist, so every way count here redraws; a draw of
+    ``(ways - 1).bit_length()`` bits would differ at 2, 4 and 8 ways."""
+    monkeypatch.setenv("REPRO_TRACE_STORE", "off")
+    draws = np.random.default_rng(ways).integers(0, 2 * ways + 2, 20_000)
+    bundle = _huge_bundle(draws.astype(np.int64))
+    config = CacheConfig(capacity_bytes=ways * 64, associativity=ways,
+                         replacement="random")
+    cache = InstructionCache(config)
+    hits = [cache.access(block).hit for block in draws.tolist()]
+    replay = replay_baseline(bundle, config)
+    assert replay.hits.tolist() == hits
+    assert replay.stats == cache.stats
+    assert cache.stats.evictions > 10_000
+
+
 # ----------------------------------------------------------------------
 # Engine-state contract.
 
@@ -318,8 +350,8 @@ def test_second_walk_is_refused(native_library, oltp_trace):
 
 def test_walked_engine_continues_on_the_hook_walker(native_library,
                                                     oltp_trace, web_trace):
-    """An engine with state takes the hook walkers, lane and timing,
-    which continue from that state exactly as the reference does."""
+    """An engine with state takes the reference walk, lane and timing,
+    which continues from that state."""
     system = replace(SystemConfig(), l1i=CACHE)
     for make in STATEFUL:
         engines = {kernel: [make()] for kernel in ("fast", "reference")}
@@ -402,8 +434,10 @@ def _corrupt(plan: PIFTrainPlan, how: str) -> PIFTrainPlan:
 def test_plan_failing_a_check_takes_the_hook_walker(native_library,
                                                     monkeypatch, oltp_trace,
                                                     how):
-    monkeypatch.setattr("repro.sim.engine.train_plan_for",
-                        lambda *args: _corrupt(train_plan_for(*args), how))
+    monkeypatch.setattr(
+        "repro.sim.engine.train_plan_for",
+        lambda *args, **kwargs: _corrupt(train_plan_for(*args, **kwargs),
+                                         how))
     engines = walk_both(oltp_trace.bundle, pif_engines)
     assert not engines[0].walked_natively
 

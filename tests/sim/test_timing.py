@@ -104,12 +104,12 @@ class TestOrdering:
 
 
 class TestKernelEquivalence:
-    """The fast timing walk — native where it applies, the columnar
-    Python loop otherwise — vs the preserved object-model loop: every
-    TimingResult field must be identical (the floats are computed by
-    the same arithmetic in the same order, so exact equality holds).
-    Each test runs the fast kernel twice: with the native library
-    loaded and with the loader forced to None.
+    """The fast timing walk — native where it applies, the reference
+    loop otherwise — vs the object-model loop: every TimingResult field
+    must be identical (the floats are computed by the same arithmetic
+    in the same order, so exact equality holds).  Each test runs the
+    fast kernel twice: with the native library loaded and with the
+    loader forced to None.
     """
 
     def mk(self, name):

@@ -1,15 +1,15 @@
-"""Walker census: the checked-in lanes that still walk in Python.
+"""Walker census: the checked-in lanes and timings that the native walk
+declines.
 
 Every point of the figure and ablation specs
 (``src/repro/experiments/specs``) and of the checked-in scenarios
 (``examples/scenarios``) is built as the sweep runner builds it, engine
-and L1-I.  With the native library loaded, the lanes that take a
-Python walker must be exactly the known ones: a lane ``_select_walker``
-sends to the hook walkers, or one the native walk would decline
-(``_native_inputs``).  The timing walk decides on the same engine and
-cache, so the census covers timed points too.  An engine or geometry
-that drops off the native walks fails here; one that joins them
-shrinks the expected set.
+and L1-I.  With the native library loaded, the walks the native walk
+declines (``_native_inputs`` returns None, so the reference walk runs
+them) must be exactly the known ones: the lane walk of every point,
+and for a timed point the engine's timing walk and the no-prefetch
+timing it is divided by.  An engine or geometry that drops off the
+native walk fails here.
 """
 
 from collections import Counter
@@ -18,33 +18,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cache.icache import InstructionCache
 from repro.experiments.common import SPEC_DIR
+from repro.prefetch.base import NullPrefetcher
 from repro.scenarios.engines import build_engine
 from repro.scenarios.runner import _cache_config
 from repro.scenarios.spec import load_spec
 from repro.sim import native
-from repro.sim.engine import (
-    _Lane,
-    _native_inputs,
-    _select_walker,
-    _walk_lane_native,
-)
+from repro.sim.engine import _native_inputs
 from repro.trace.bundle import TraceBundle
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 
-#: (spec, engine, ways, replacement) -> lanes that walk in Python:
-#: the record-source ablation's fetch-order PIF (a subclass), the
-#: replacement ablation's random policy, and the geometry study's
-#: 4-way caches.
-PYTHON_LANES = Counter({
-    ("ablation-source", "pif-access-order", 2, "lru"): 12,
-    ("ablation-replacement", "pif", 2, "random"): 12,
-    **{("geometry", engine, 4, "lru"): 9
-       for engine in ("next-line", "stride", "discontinuity", "tifs",
-                      "pif")},
-})
+#: (spec, engine, ways, replacement, walk) -> walks the reference walk
+#: runs while the library is loaded: none.
+PYTHON_LANES: Counter = Counter()
 
 
 def _bundle():
@@ -67,21 +54,28 @@ def test_only_known_lanes_walk_in_python(monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_STORE", "off")
     bundle = _bundle()
     paths = sorted(SPEC_DIR.glob("*.yaml")) + sorted(EXAMPLES.glob("*.yaml"))
-    python_lanes, lanes = Counter(), 0
+    declined, walks = Counter(), 0
     for path in paths:
         spec = load_spec(path)
         for point in spec.points():
-            engine = build_engine(point.engine, dict(point.params),
-                                  point.block_bytes)
-            cache = InstructionCache(_cache_config(point))
-            lanes += 1
-            if (_select_walker(_Lane(engine, cache, None))
-                    is not _walk_lane_native
-                    or _native_inputs(engine, cache, bundle, 0) is None):
-                python_lanes[spec.name, point.engine, point.associativity,
-                             point.replacement] += 1
+            config = _cache_config(point)
+
+            def engine():
+                return build_engine(point.engine, dict(point.params),
+                                    point.block_bytes)
+
+            checks = [("lane", engine(), False)]
+            if point.timing:
+                checks += [("timing", engine(), point.engine == "perfect"),
+                           ("timing", NullPrefetcher(), False)]
+            for walk, prefetcher, perfect in checks:
+                walks += 1
+                if _native_inputs(prefetcher, config, bundle, 0,
+                                  perfect) is None:
+                    declined[spec.name, point.engine, point.associativity,
+                             point.replacement, walk] += 1
     assert {path.stem for path in paths} >= {
         "fig10", "ablation-source", "ablation-replacement", "geometry",
         "seed-sensitivity"}
-    assert python_lanes == PYTHON_LANES
-    assert lanes > sum(PYTHON_LANES.values())
+    assert declined == PYTHON_LANES
+    assert walks > sum(PYTHON_LANES.values())
