@@ -24,15 +24,16 @@ class BranchTargetBuffer:
     def __init__(self, entries: int = 4 * 1024, associativity: int = 4) -> None:
         if entries <= 0 or entries % associativity:
             raise ValueError("entries must be a positive multiple of associativity")
-        self._n_sets = entries // associativity
+        self.associativity = associativity
+        self.n_sets = entries // associativity
         self._sets: List[LRUCache[int, int]] = [
-            LRUCache(associativity) for _ in range(self._n_sets)
+            LRUCache(associativity) for _ in range(self.n_sets)
         ]
         self.hits = 0
         self.misses = 0
 
     def _set_for(self, pc: int) -> LRUCache[int, int]:
-        return self._sets[(pc >> 2) % self._n_sets]
+        return self._sets[(pc >> 2) % self.n_sets]
 
     def lookup(self, pc: int) -> Optional[int]:
         """Predicted target for the branch at ``pc``, or None on BTB miss."""

@@ -90,29 +90,3 @@ class HybridPredictor(DirectionPredictor):
             self._chooser.update(pc >> 2, gshare_correct)
         self.gshare.update(pc, outcome)
         self.bimodal.update(pc, outcome)
-
-
-class AlwaysTakenPredictor(DirectionPredictor):
-    """Degenerate predictor used as a noise-maximizing baseline in tests."""
-
-    def predict(self, pc: int) -> bool:
-        return True
-
-    def update(self, pc: int, outcome: bool) -> None:
-        pass
-
-
-def make_direction_predictor(name: str,
-                             config: BranchPredictorConfig | None = None
-                             ) -> DirectionPredictor:
-    """Factory for the predictor kinds the experiments reference."""
-    cfg = config if config is not None else BranchPredictorConfig()
-    if name == "hybrid":
-        return HybridPredictor(cfg)
-    if name == "gshare":
-        return GSharePredictor(cfg.gshare_entries, cfg.history_bits)
-    if name == "bimodal":
-        return BimodalPredictor(cfg.bimodal_entries)
-    if name == "always_taken":
-        return AlwaysTakenPredictor()
-    raise ValueError(f"unknown direction predictor {name!r}")

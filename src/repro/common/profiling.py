@@ -1,10 +1,11 @@
 """Lightweight wall-clock stage profiling for the simulation pipeline.
 
 The experiment runner's ``--profile`` flag needs to attribute a
-figure's wall-clock to its coarse stages — trace load, baseline replay,
-lane walk, timing walk — without a profiler's overhead distorting the
-very hot loops it is measuring.  This module provides named stage
-timers that the pipeline brackets its stages with; they are inert
+figure's wall-clock to its coarse stages — trace load, trace
+generation, baseline replay, lane walk, timing walk — without a
+profiler's overhead distorting the very hot loops it is measuring.
+This module provides named stage timers that the pipeline brackets its
+stages with; they are inert
 (a ``None`` check) unless a collector is installed, so the hooks stay
 in the production code paths permanently.
 
@@ -30,6 +31,7 @@ from typing import Dict, Iterator, Optional
 #: Stage names used by the simulation pipeline (importers reference
 #: these constants so the runner and the hooks cannot drift apart).
 STAGE_TRACE_LOAD = "trace-load"
+STAGE_TRACE_GENERATE = "trace-generate"
 STAGE_BASELINE = "baseline"
 STAGE_LANE_WALK = "lane-walk"
 STAGE_TIMING_WALK = "timing-walk"

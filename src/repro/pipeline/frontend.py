@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from ..branch.btb import BranchTargetBuffer, ReturnAddressStack
-from ..branch.predictors import DirectionPredictor, make_direction_predictor
+from ..branch.predictors import HybridPredictor
 from ..common.addressing import INSTRUCTION_BYTES, block_bits_for
 from ..common.config import BranchPredictorConfig, PipelineConfig
 from ..common.rng import make_rng
@@ -59,7 +59,6 @@ class FetchModel:
         program: SyntheticProgram,
         pipeline: Optional[PipelineConfig] = None,
         branch_config: Optional[BranchPredictorConfig] = None,
-        predictor_kind: str = "hybrid",
         block_bytes: int = 64,
         seed: int = 0,
     ) -> None:
@@ -67,13 +66,11 @@ class FetchModel:
         self.pipeline = pipeline if pipeline is not None else PipelineConfig()
         self.branch_config = (branch_config if branch_config is not None
                               else BranchPredictorConfig())
-        self.predictor_kind = predictor_kind
         self.block_bytes = block_bytes
         self.seed = seed
         self.stats = FrontEndStats()
         self._block_bits = block_bits_for(block_bytes)
-        self._predictor: DirectionPredictor = make_direction_predictor(
-            predictor_kind, self.branch_config)
+        self._predictor = HybridPredictor(self.branch_config)
         self._btb = BranchTargetBuffer(self.branch_config.btb_entries)
         self._ras = ReturnAddressStack(self.branch_config.ras_depth)
         self._rng: random.Random = make_rng(seed, "frontend", program.name)

@@ -5,6 +5,18 @@ collection (Section 5): it wires the synthetic program, the executor,
 and the fetch model together and returns the paired access/retire
 streams of one simulated core.
 
+Generation has two planes.  The reference replay runs
+:class:`~repro.workloads.executor.ProgramExecutor` through
+:class:`~repro.pipeline.frontend.FetchModel`, one record object per
+block and per access; those two classes are the specification.  The
+native replay (``_tracewalk.c``, built by :mod:`repro.sim.native` on
+the first generation of a process) walks both at once over the
+program's block columns and writes the trace's columns directly, bit
+for bit the same: the generators' states go over with
+:meth:`random.Random.getstate` and come back with
+:meth:`random.Random.setstate`.  Without a C compiler every trace comes
+from the reference replay.
+
 Programs and traces are cached per parameter tuple because every
 experiment in the evaluation matrix replays the same six workloads.
 The cache is two-level: an in-process ``lru_cache`` in front of the
@@ -17,16 +29,19 @@ generation; set ``REPRO_TRACE_STORE=off`` to disable persistence.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Tuple, Union
 
-from ..common.config import SystemConfig
-from ..common.profiling import STAGE_TRACE_LOAD, stage
+import numpy as np
+
+from ..common.profiling import STAGE_TRACE_GENERATE, STAGE_TRACE_LOAD, stage
 from ..trace import replicate
 from ..trace.bundle import TraceBundle
+from ..trace.records import access_columns, retire_columns
 from ..trace.store import TraceKey, TraceStore
-from ..workloads.executor import ProgramExecutor
+from ..workloads.executor import MAX_TRANSACTION_INSTRUCTIONS, ProgramExecutor
 from ..workloads.generator import build_program
 from ..workloads.program import SyntheticProgram
 from ..workloads.spec import WorkloadSpec, get_spec
@@ -35,6 +50,27 @@ from .frontend import FetchModel, FrontEndStats
 #: Default trace length per core.  The paper uses 1 G instructions per
 #: core; the synthetic workloads reach stream steady state far sooner.
 DEFAULT_INSTRUCTIONS = 400_000
+
+#: A replay's result: the six columns in :meth:`TraceBundle.from_columns`
+#: order, and the retired instruction count.
+Replay = Tuple[Tuple[np.ndarray, ...], int]
+
+#: ``replay_trace``'s out_counts slots (``_tracewalk.c``).
+_OUT_INSTRUCTIONS, _OUT_STATS, _OUT_ACCESSES, _OUT_RETIRES, _OUT_BAD_PC = (
+    0, slice(1, 8), 8, 9, 10)
+
+#: ``replay_trace``'s out_columns, in :meth:`TraceBundle.from_columns`
+#: order: (column slot, length slot, dtype).
+_COLUMNS = ((4, _OUT_RETIRES, np.int64), (5, _OUT_RETIRES, np.uint8),
+            (0, _OUT_ACCESSES, np.int64), (1, _OUT_ACCESSES, np.int64),
+            (2, _OUT_ACCESSES, np.uint8), (3, _OUT_ACCESSES, np.bool_))
+
+#: ``replay_trace``'s errors (``REPLAY_*``), as the reference raises them.
+_REPLAY_ERRORS = {
+    1: lambda pc: MemoryError("native trace replay ran out of memory"),
+    2: lambda pc: RuntimeError(f"control reached a non-block PC {pc:#x}"),
+    3: lambda pc: RuntimeError(f"handler control reached bad PC {pc:#x}"),
+}
 
 
 @dataclass(slots=True)
@@ -57,42 +93,120 @@ def program_for(workload: Union[str, WorkloadSpec], seed: int) -> SyntheticProgr
     return _cached_program(workload, seed)
 
 
+def _replay_reference(executor: ProgramExecutor, frontend: FetchModel,
+                      instructions: int) -> Replay:
+    """The reference replay: the executor's records through the fetch
+    model, as objects, then columns."""
+    accesses, retires, retired = frontend.process(executor.run(instructions))
+    return (*retire_columns(retires), *access_columns(accesses)), retired
+
+
+def _replay_native(library, executor: ProgramExecutor, frontend: FetchModel,
+                   instructions: int) -> Replay:
+    """The same replay in ``_tracewalk.c``, from a fresh executor and
+    fetch model.
+
+    Only the three generators' states and ``frontend.stats`` come back
+    into the objects; the predictor, BTB, RAS and loop state stay in C.
+    """
+    if instructions <= 0:
+        raise ValueError("n_instructions must be positive")
+    program, spec = executor.program, executor.spec
+    pipeline, branch = frontend.pipeline, frontend.branch_config
+    rngs = (executor._rng, executor._irq_rng, frontend._rng)
+    states = [rng.getstate() for rng in rngs]
+    words = np.array([state[1] for state in states], np.uint32)
+    gauss_ready = np.array([state[2] is not None for state in states],
+                           np.uint8)
+    gauss_next = np.array([state[2] or 0.0 for state in states], np.float64)
+    latencies = pipeline.max_resolve_latency - pipeline.min_resolve_latency + 1
+    if latencies.bit_length() > 32:
+        raise ValueError("the native replay draws resolve latencies from "
+                         "at most 32 random bits")
+    config = np.array([
+        instructions, executor._dispatch_pc, MAX_TRANSACTION_INSTRUCTIONS,
+        frontend._block_bits, branch.gshare_entries, branch.bimodal_entries,
+        branch.chooser_entries, branch.history_bits,
+        frontend._btb.n_sets, frontend._btb.associativity, branch.ras_depth,
+        pipeline.min_resolve_latency, pipeline.max_resolve_latency,
+        pipeline.fetch_queue_entries], np.int64)
+    fconfig = np.array([spec.loop_trip_jitter, executor._irq_rate,
+                        executor._transaction_total, executor._handler_total],
+                       np.float64)
+    roots = np.array([root.entry for root in program.transactions], np.int64)
+    handlers = np.array([handler.entry for handler in program.handlers],
+                        np.int64)
+    blocks = program.block_columns()
+    if len(blocks[0]) and blocks[0][0] < 0:
+        # C's % and >> agree with Python's on non-negative PCs only.
+        raise ValueError("the native replay needs non-negative block PCs")
+    counts = np.zeros(_OUT_BAD_PC + 1, np.int64)
+    out_columns = (ctypes.c_void_p * len(_COLUMNS))()
+    try:
+        status = library.replay_trace(
+            config, fconfig, len(blocks[0]), *blocks,
+            len(roots), roots,
+            np.array(program.transaction_weights, np.float64),
+            len(handlers), handlers,
+            np.array(program.handler_weights, np.float64),
+            words, gauss_next, gauss_ready, counts, out_columns)
+        if status:
+            raise _REPLAY_ERRORS[status](int(counts[_OUT_BAD_PC]))
+        columns = tuple(_take(out_columns[slot], int(counts[length]), dtype)
+                        for slot, length, dtype in _COLUMNS)
+    finally:
+        library.replay_free(out_columns)
+    for rng, state, row, ready, gauss in zip(rngs, states, words.tolist(),
+                                             gauss_ready, gauss_next):
+        rng.setstate((state[0], tuple(row),
+                      float(gauss) if ready else None))
+    frontend.stats = FrontEndStats(*counts[_OUT_STATS].tolist())
+    return columns, int(counts[_OUT_INSTRUCTIONS])
+
+
+def _take(address, length: int, dtype) -> np.ndarray:
+    """A copy of the ``length`` values of ``dtype`` at ``address``."""
+    if not length:
+        return np.empty(0, dtype)
+    size = length * np.dtype(dtype).itemsize
+    return np.frombuffer((ctypes.c_char * size).from_address(address),
+                         dtype).copy()
+
+
+def _replay_library():
+    """The native replay, or None (the loader warns once); imported
+    here because importing :mod:`repro.sim` loads the simulator."""
+    from ..sim import native
+
+    return native.load_replay()
+
+
 def generate_trace(
     workload: Union[str, WorkloadSpec],
     instructions: int = DEFAULT_INSTRUCTIONS,
     seed: int = 42,
     core: int = 0,
-    system: Optional[SystemConfig] = None,
-    predictor_kind: str = "hybrid",
 ) -> GeneratedTrace:
     """Generate one core's trace for ``workload``.
 
     All cores share the program (the code segment); each core gets its
     own executor RNG stream, so per-core traces differ the way threads
-    of one server process differ.
+    of one server process differ.  The native replay writes the columns
+    when the library loads, the reference replay otherwise.
     """
     spec = get_spec(workload) if isinstance(workload, str) else workload
-    cfg = system if system is not None else SystemConfig()
     program = program_for(workload, seed)
     executor = ProgramExecutor(program, spec, seed=seed, core=core)
-    frontend = FetchModel(
-        program=program,
-        pipeline=cfg.pipeline,
-        branch_config=cfg.branch,
-        predictor_kind=predictor_kind,
-        block_bytes=cfg.l1i.block_bytes,
-        seed=seed + core,
-    )
-    accesses, retires, retired = frontend.process(executor.run(instructions))
-    bundle = TraceBundle(
-        workload=spec.name,
-        core=core,
-        seed=seed,
-        block_bytes=cfg.l1i.block_bytes,
-        retires=retires,
-        accesses=accesses,
-        instructions=retired,
-    )
+    frontend = FetchModel(program, seed=seed + core)
+    library = _replay_library()
+    if library is None:
+        columns, retired = _replay_reference(executor, frontend, instructions)
+    else:
+        columns, retired = _replay_native(library, executor, frontend,
+                                          instructions)
+    bundle = TraceBundle.from_columns(
+        spec.name, core, seed, frontend.block_bytes, *columns,
+        instructions=retired)
     return GeneratedTrace(bundle=bundle, frontend_stats=frontend.stats)
 
 
@@ -112,9 +226,10 @@ def cached_trace(workload: str, instructions: int, seed: int,
                  core: int = 0) -> GeneratedTrace:
     """Memoized :func:`generate_trace` for the named paper workloads.
 
-    Wall-clock spent here (store load or fresh generation; in-process
-    ``lru_cache`` hits never enter) is attributed to the ``trace-load``
-    stage when the runner's ``--profile`` collector is active.
+    When the runner's ``--profile`` collector is active, store gets,
+    replica fetches and puts count as the ``trace-load`` stage and
+    fresh generation as ``trace-generate`` (in-process ``lru_cache``
+    hits never enter).
 
     Experiments and benchmarks share traces through this entry point so
     the expensive generation cost is paid once per parameter tuple —
@@ -124,11 +239,11 @@ def cached_trace(workload: str, instructions: int, seed: int,
     generator.  Freshly generated traces are persisted back to the
     store, front-end statistics included.
     """
-    with stage(STAGE_TRACE_LOAD):
-        store = TraceStore.from_env()
-        key = TraceKey(workload=workload, instructions=instructions,
-                       seed=seed, core=core)
-        if store is not None:
+    store = TraceStore.from_env()
+    key = TraceKey(workload=workload, instructions=instructions,
+                   seed=seed, core=core)
+    if store is not None:
+        with stage(STAGE_TRACE_LOAD):
             loaded = store.get(key)
             if loaded is None:
                 # Local miss: before generating, consult the installed
@@ -142,13 +257,15 @@ def cached_trace(workload: str, instructions: int, seed: int,
                             f"replicated archive for {key} did not load "
                             "back, and a generator override forbids "
                             "local generation")
-            if loaded is not None:
-                bundle, extra = loaded
-                return GeneratedTrace(bundle=bundle,
-                                      frontend_stats=_stats_from_extra(extra))
+        if loaded is not None:
+            bundle, extra = loaded
+            return GeneratedTrace(bundle=bundle,
+                                  frontend_stats=_stats_from_extra(extra))
+    with stage(STAGE_TRACE_GENERATE):
         trace = generate_trace(workload, instructions=instructions, seed=seed,
                                core=core)
-        if store is not None:
+    if store is not None:
+        with stage(STAGE_TRACE_LOAD):
             store.put(key, trace.bundle,
                       extra={"frontend_stats": asdict(trace.frontend_stats)})
-        return trace
+    return trace

@@ -1,20 +1,28 @@
-"""Build and load the native lane and timing walks (``_walk.c``).
+"""Build and load the native plane's two C libraries.
 
-The native plane walks exact-type engines -- none, next-line, stride,
-discontinuity, TIFS, PIF and its fetch-order variant -- on a cache of
-any associativity with LRU, FIFO or random replacement, through a
-plain-C99 library called with :mod:`ctypes`: one entry point for the
-lane walk (:func:`repro.sim.engine._walk_lane_native`, and the
-no-prefetch baseline replay, :func:`repro.sim.baseline.replay_baseline`)
-and one for the timing walk (:func:`repro.sim.timing._run_timing_native`).  This module compiles
-it on the first native walk of a process -- never at import -- with the
-interpreter's configured C compiler: ``sysconfig``'s ``CC``, replaced
-by the ``CC`` environment variable when set, as setuptools does.  No
-``-march=native``: one cache directory may serve several CPUs.  The
-timing walk returns doubles that must equal the reference loop's, so the
-flags turn floating-point contraction off (no fused multiply-add).
+Both are plain C99 called with :mod:`ctypes`:
 
-The library lives in the user cache, not the trace store (a fresh
+* the lane and timing walks (``sim/_walk.c``, :func:`load`) walk
+  exact-type engines -- none, next-line, stride, discontinuity, TIFS,
+  PIF and its fetch-order variant -- on a cache of any associativity
+  with LRU, FIFO or random replacement: one entry point for the lane
+  walk (:func:`repro.sim.engine._walk_lane_native`, and the no-prefetch
+  baseline replay, :func:`repro.sim.baseline.replay_baseline`) and one
+  for the timing walk (:func:`repro.sim.timing._run_timing_native`);
+* the trace replay (``pipeline/_tracewalk.c``, :func:`load_replay`)
+  runs the executor and the fetch model together and writes a trace's
+  columns (:func:`repro.pipeline.tracegen.generate_trace`).
+
+This module compiles each on its first use in a process -- never at
+import -- with the interpreter's configured C compiler: ``sysconfig``'s
+``CC``, replaced by the ``CC`` environment variable when set, as
+setuptools does.  No ``-march=native``: one cache directory may serve
+several CPUs.  The timing walk returns doubles that must equal the
+reference loop's, and the replay draws floats exactly as
+:class:`random.Random` does, so the flags turn floating-point
+contraction off (no fused multiply-add).
+
+The libraries live in the user cache, not the trace store (a fresh
 store must not mean a fresh build)::
 
     ${XDG_CACHE_HOME:-~/.cache}/repro/native/<key>.so
@@ -28,10 +36,12 @@ library ends in a trailer holding the SHA-256 of the bytes before it; a
 library whose trailer does not verify (truncated, overwritten) is
 deleted and rebuilt.
 
-When no library can be built or loaded, :func:`load` warns once per
-process with a :class:`RuntimeWarning` and returns None, and every lane,
-timing and baseline walk takes the reference walk (the object model):
-the same results, at roughly 50-90x the cost per access.
+When a library cannot be built or loaded, its loader warns once per
+process with a :class:`RuntimeWarning` and returns None.  Without the
+walks every lane, timing and baseline walk takes the reference walk
+(the object model): the same results, at roughly 50-90x the cost per
+access.  Without the replay every trace comes from the reference
+replay (``ProgramExecutor`` and ``FetchModel``): the same columns.
 """
 
 from __future__ import annotations
@@ -50,10 +60,16 @@ from ..trace.store import cache_home
 #: The C source of the lane and timing walks (package data).
 SOURCE = Path(__file__).with_name("_walk.c")
 
+#: The C source of the trace replay (package data of ``repro.pipeline``).
+REPLAY_SOURCE = Path(__file__).parent.parent / "pipeline" / "_tracewalk.c"
+
 #: Compiler flags after the compiler command.  ``-ffp-contract=off``
-#: keeps every multiply and add of the timing walk separately rounded,
-#: as in Python.
+#: keeps every multiply and add of the timing walk and the replay's
+#: draws separately rounded, as in Python.
 CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
+
+#: Libraries linked after the source: the replay calls libm.
+LDLIBS = ("-lm",)
 
 #: Ends every published library: marker, then the body's SHA-256.
 _TRAILER_MAGIC = b"repro-walklib-v1"
@@ -77,7 +93,8 @@ def library_path(source: Path = SOURCE,
     """Where the library built from ``source`` with ``command`` lives."""
     command = compiler() if command is None else command
     digest = hashlib.sha256(source.read_bytes())
-    for part in (*command, "--", *CFLAGS, "--", platform.machine()):
+    for part in (*command, "--", *CFLAGS, *LDLIBS, "--",
+                 platform.machine()):
         digest.update(part.encode() + b"\0")
     return cache_home() / "repro" / "native" / f"{digest.hexdigest()}.so"
 
@@ -93,8 +110,8 @@ def verified(path: Path) -> bool:
             and hashlib.sha256(body).digest() == trailer[16:])
 
 
-def build(path: Path, command: List[str]) -> None:
-    """Compile :data:`SOURCE` and publish it at ``path`` atomically."""
+def build(path: Path, command: List[str], source: Path = SOURCE) -> None:
+    """Compile ``source`` and publish it at ``path`` atomically."""
     import subprocess
     import tempfile
 
@@ -106,7 +123,8 @@ def build(path: Path, command: List[str]) -> None:
     try:
         try:
             result = subprocess.run(
-                [*command, *CFLAGS, "-o", str(scratch), str(SOURCE)],
+                [*command, *CFLAGS, "-o", str(scratch), str(source),
+                 *LDLIBS],
                 capture_output=True, text=True, timeout=300, check=False)
         except subprocess.SubprocessError as exc:
             raise NativeBuildError(f"{command[0]}: {exc}") from exc
@@ -145,22 +163,60 @@ def _declare(library):
     return library
 
 
+def _declare_replay(library):
+    """Declare the replay's C signatures, checked like the walks'."""
+    import ctypes
+
+    import numpy as np
+
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    u8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+    u32 = np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS")
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    columns = ctypes.POINTER(ctypes.c_void_p)
+    library.replay_trace.argtypes = [
+        i64, f64,   # config, fconfig
+        ctypes.c_int64, i64, i64, u8, i64, f64, f64,   # blocks
+        ctypes.c_int64, i64, f64,   # transaction roots: n, entry, weight
+        ctypes.c_int64, i64, f64,   # handlers: n, entry, weight
+        u32, f64, u8,   # generators: words, gauss_next, gauss_ready
+        i64, columns]   # out_counts, out_columns
+    library.replay_trace.restype = ctypes.c_int
+    library.replay_free.argtypes = [columns]
+    library.replay_free.restype = None
+    return library
+
+
+def _load(source: Path, declare, fallback: str):
+    """The library built from ``source``, declared; None after a
+    :class:`RuntimeWarning` saying ``fallback`` when it cannot be built
+    or loaded."""
+    import ctypes
+
+    try:
+        command = compiler()
+        path = library_path(source, command)
+        if not verified(path):
+            path.unlink(missing_ok=True)
+            build(path, command, source)
+        return declare(ctypes.CDLL(str(path)))
+    except (OSError, NativeBuildError) as exc:
+        warnings.warn(f"{fallback}: {exc}", RuntimeWarning, stacklevel=3)
+        return None
+
+
 @functools.cache
 def load():
     """This process's native walks (a :class:`ctypes.CDLL`), built on
     first use; None after one :class:`RuntimeWarning` when they cannot
     be built or loaded."""
-    import ctypes
+    return _load(SOURCE, _declare, "native walk unavailable, lanes and "
+                 "timings take the reference walk")
 
-    try:
-        command = compiler()
-        path = library_path(command=command)
-        if not verified(path):
-            path.unlink(missing_ok=True)
-            build(path, command)
-        return _declare(ctypes.CDLL(str(path)))
-    except (OSError, NativeBuildError) as exc:
-        warnings.warn(f"native walk unavailable, lanes and timings take "
-                      f"the reference walk: {exc}", RuntimeWarning,
-                      stacklevel=2)
-        return None
+
+@functools.cache
+def load_replay():
+    """This process's native trace replay, as :func:`load` loads the
+    walks."""
+    return _load(REPLAY_SOURCE, _declare_replay, "native trace replay "
+                 "unavailable, traces come from the reference replay")

@@ -54,12 +54,15 @@ _DISABLE_VALUES = frozenset({"", "0", "off", "none", "disabled"})
 
 #: Source files whose content defines the generator version, relative to
 #: the ``repro`` package root.  Everything trace generation executes or
-#: that shapes the stored representation belongs here.
+#: that shapes the stored representation belongs here: the native
+#: replay (``pipeline/_tracewalk.c``) too, but not the lane and timing
+#: walks (``sim/_walk.c``), which no trace depends on.
 _GENERATOR_SOURCE_GLOBS = (
     "common/*.py",
     "branch/*.py",
     "workloads/*.py",
     "pipeline/*.py",
+    "pipeline/*.c",
     "trace/records.py",
     "trace/bundle.py",
     "trace/serialize.py",

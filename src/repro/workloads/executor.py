@@ -18,6 +18,7 @@ This stream is the ground truth both downstream consumers build on:
 
 from __future__ import annotations
 
+import random
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from ..common.rng import make_rng
@@ -64,6 +65,12 @@ class ProgramExecutor:
         self._rng = make_rng(seed, "exec", spec.name, str(core))
         self._irq_rng = make_rng(seed, "irq", spec.name, str(core))
         self._dispatch_pc = program.dispatcher.blocks[0].pc
+        self._transaction_total = sum(program.transaction_weights)
+        self._handler_total = sum(program.handler_weights)
+        #: The rate of the exponential interrupt intervals.
+        self._irq_rate = 1.0 / spec.interrupt_interval
+        #: Handlers are injected only when the program has any.
+        self._irq_ready = bool(program.handlers)
         self._loop_state: dict = {}
         self._frame_counter = 0
         self._transaction_instructions = 0
@@ -87,13 +94,8 @@ class ProgramExecutor:
             record, pc = self._step(block, stack)
             retired += record.instructions
             self._transaction_instructions += record.instructions
-            if record.kind == BlockKind.RETURN and not stack:
-                # The dispatcher never returns; an empty stack after a
-                # return means a transaction completed and control is
-                # back in the dispatcher loop.
-                pass
             yield record
-            if retired >= next_irq and self._irq_ready(stack):
+            if retired >= next_irq and self._irq_ready:
                 for handler_record in self._run_handler():
                     retired += handler_record.instructions
                     yield handler_record
@@ -157,9 +159,9 @@ class ProgramExecutor:
         """Resolve the callee, choosing a transaction root at the
         dispatcher's dispatch site (the model's one indirect call)."""
         if block.pc == self._dispatch_pc:
-            roots = self.program.transactions
-            weights = self.program.transaction_weights
-            return roots[self._weighted_index(weights)].entry
+            return self.program.transactions[_weighted_index(
+                self._rng, self.program.transaction_weights,
+                self._transaction_total)].entry
         assert block.target is not None
         return block.target
 
@@ -195,14 +197,8 @@ class ProgramExecutor:
     # ------------------------------------------------------------------
     # interrupts
 
-    def _irq_ready(self, stack: Sequence[_Frame]) -> bool:
-        """Handlers are injected only from application context and only
-        when the program has handlers at all."""
-        return bool(self.program.handlers)
-
     def _draw_irq_interval(self) -> int:
-        return max(1, int(self._irq_rng.expovariate(
-            1.0 / self.spec.interrupt_interval)))
+        return max(1, int(self._irq_rng.expovariate(self._irq_rate)))
 
     def _run_handler(self) -> Iterator[ControlRecord]:
         """Execute one interrupt handler to completion at trap level 1.
@@ -212,8 +208,8 @@ class ProgramExecutor:
         outermost return executes.
         """
         self.interrupts_taken += 1
-        weights = self.program.handler_weights
-        handler = self.program.handlers[self._weighted_index_irq(weights)]
+        handler = self.program.handlers[_weighted_index(
+            self._irq_rng, self.program.handler_weights, self._handler_total)]
         self._frame_counter += 1
         root_frame = _Frame(0, self._frame_counter)
         stack: List[_Frame] = []
@@ -268,22 +264,15 @@ class ProgramExecutor:
                 return
             pc = next_pc
 
-    def _weighted_index(self, weights: Sequence[float]) -> int:
-        total = sum(weights)
-        point = self._rng.random() * total
-        cumulative = 0.0
-        for index, weight in enumerate(weights):
-            cumulative += weight
-            if point < cumulative:
-                return index
-        return len(weights) - 1
 
-    def _weighted_index_irq(self, weights: Sequence[float]) -> int:
-        total = sum(weights)
-        point = self._irq_rng.random() * total
-        cumulative = 0.0
-        for index, weight in enumerate(weights):
-            cumulative += weight
-            if point < cumulative:
-                return index
-        return len(weights) - 1
+def _weighted_index(rng: random.Random, weights: Sequence[float],
+                    total: float) -> int:
+    """The index ``rng`` picks with probability proportional to its
+    weight; ``total`` is ``sum(weights)``, computed once, not per draw."""
+    point = rng.random() * total
+    cumulative = 0.0
+    for index, weight in enumerate(weights):
+        cumulative += weight
+        if point < cumulative:
+            return index
+    return len(weights) - 1

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..common.addressing import INSTRUCTION_BYTES
 
@@ -158,6 +160,26 @@ class SyntheticProgram:
             for block in function.blocks:
                 self._block_index[block.pc] = block
         self._block_starts = sorted(self._block_index)
+
+    def block_columns(self) -> Tuple[np.ndarray, ...]:
+        """The blocks as columns sorted by pc.
+
+        In order: pc and instructions (``int64``), kind (``uint8``, an
+        index into :data:`BlockKind.ALL`), target (``int64``, 0 for
+        none), taken probability and mean iterations (``float64``).
+        The native trace replay (:mod:`repro.pipeline.tracegen`) walks
+        these instead of the block objects.
+        """
+        blocks = [self._block_index[pc] for pc in self._block_starts]
+        codes = {kind: code for code, kind in enumerate(BlockKind.ALL)}
+        return (np.array(self._block_starts, np.int64),
+                np.array([block.instructions for block in blocks], np.int64),
+                np.array([codes[block.kind] for block in blocks], np.uint8),
+                np.array([block.target or 0 for block in blocks], np.int64),
+                np.array([block.taken_probability for block in blocks],
+                         np.float64),
+                np.array([block.mean_iterations for block in blocks],
+                         np.float64))
 
     def block_at(self, pc: int) -> Optional[BasicBlock]:
         """The basic block whose instruction range contains ``pc``.

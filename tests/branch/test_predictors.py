@@ -4,11 +4,9 @@ import pytest
 
 from repro.branch.counters import CounterTable
 from repro.branch.predictors import (
-    AlwaysTakenPredictor,
     BimodalPredictor,
     GSharePredictor,
     HybridPredictor,
-    make_direction_predictor,
 )
 
 
@@ -134,19 +132,3 @@ class TestHybrid:
             predictor.update(0x200, True)
         assert predictor.predict(0x200)
 
-
-class TestFactory:
-    @pytest.mark.parametrize("name", ["hybrid", "gshare", "bimodal",
-                                      "always_taken"])
-    def test_makes_each(self, name):
-        predictor = make_direction_predictor(name)
-        assert isinstance(predictor.predict(0x100), bool)
-
-    def test_always_taken(self):
-        predictor = AlwaysTakenPredictor()
-        predictor.update(0, False)
-        assert predictor.predict(0)
-
-    def test_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            make_direction_predictor("tage")

@@ -167,6 +167,23 @@ class TestKeyInvalidation:
             source.write("\n# edited\n")
         assert store_module._hash_sources(package) != original
 
+    def test_native_replay_is_hashed_and_the_walks_are_not(self, tmp_path):
+        """On a copy of the real package: the native trace replay writes
+        traces, so editing its C source moves the generator hash; the
+        lane and timing walks (``sim/_walk.c``) write none, so editing
+        them keeps it."""
+        package = tmp_path / "repro"
+        shutil.copytree(Path(store_module.__file__).resolve().parent.parent,
+                        package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        original = store_module._hash_sources(package)
+        with open(package / "sim" / "_walk.c", "a") as source:
+            source.write("\n/* edited */\n")
+        assert store_module._hash_sources(package) == original
+        with open(package / "pipeline" / "_tracewalk.c", "a") as source:
+            source.write("\n/* edited */\n")
+        assert store_module._hash_sources(package) != original
+
 
 class TestGc:
     def test_keeps_current_entries(self, tmp_path):
